@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use reveil_bench::{bench_cell, defense_inputs, BENCH_PROFILE};
 use reveil_defense::{beatrix, neural_cleanse, strip, AuditInputs, Defense};
-use reveil_tensor::parallel;
 
 struct CountingAllocator;
 
@@ -39,13 +38,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Counts the allocations one call of `f` performs on the serial path.
+/// Counts the allocations one call of `f` performs.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    parallel::serialized(|| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        f();
-        ALLOCATIONS.load(Ordering::Relaxed) - before
-    })
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
 fn bench_audit(c: &mut Criterion) {

@@ -83,9 +83,8 @@ fn bench_gemm_epilogue(c: &mut Criterion) {
         })
     });
 
-    // Square accumulate at the shared-pack headline shape: with
-    // REVEIL_THREADS > 1 the team packs each B panel once instead of once
-    // per worker, so this is the number that moves on bigger machines.
+    // Square accumulate: the largest single-threaded GEMM in the group,
+    // where the packed B panel is reused across every A panel.
     let a = filled(&[256, 256]);
     let b = filled(&[256, 256]);
     let mut out = Tensor::zeros(&[256, 256]);

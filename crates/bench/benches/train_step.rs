@@ -5,9 +5,9 @@
 //! ([`TrainStep`]); `train_step_alloc_per_call` drives the allocating
 //! wrappers (the pre-pooling baseline shape) for comparison. Beyond
 //! wall-clock time, the `train_step_allocs` group reports heap allocations
-//! per warmed-up step (counted by a global counting allocator, inside
-//! `parallel::serialized` so fork–join plumbing of the worker team is not
-//! attributed to the step itself) — the pooled path reports zero.
+//! per warmed-up step (counted by a global counting allocator) — the pooled
+//! path reports zero at any `REVEIL_THREADS`, since every kernel of the
+//! step runs on the calling thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,7 +19,7 @@ use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Adam, Optimizer};
 use reveil_nn::train::TrainStep;
 use reveil_nn::{models, Mode, Network};
-use reveil_tensor::{parallel, rng, Tensor};
+use reveil_tensor::{rng, Tensor};
 
 /// Counts heap allocations (`alloc` + `realloc`) so the benches can report
 /// allocations per training step alongside time.
@@ -154,23 +154,19 @@ fn bench_step_allocations(c: &mut Criterion) {
         let (batch, labels) = smoke_batch(ch, h, w, classes);
         let mut opt = Adam::new(5e-3).with_weight_decay(1e-4);
         let mut step = TrainStep::new();
-        parallel::serialized(|| {
-            for _ in 0..3 {
-                pooled_step(&mut net, &mut step, &mut opt, &batch, &labels);
-            }
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let rounds = 10u64;
-            for _ in 0..rounds {
-                pooled_step(&mut net, &mut step, &mut opt, &batch, &labels);
-            }
-            let per_step = (ALLOCATIONS.load(Ordering::Relaxed) - before) / rounds;
-            eprintln!("train_step_allocs/{label}: {per_step} heap allocations per warmed-up step");
-        });
+        for _ in 0..3 {
+            pooled_step(&mut net, &mut step, &mut opt, &batch, &labels);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let rounds = 10u64;
+        for _ in 0..rounds {
+            pooled_step(&mut net, &mut step, &mut opt, &batch, &labels);
+        }
+        let per_step = (ALLOCATIONS.load(Ordering::Relaxed) - before) / rounds;
+        eprintln!("train_step_allocs/{label}: {per_step} heap allocations per warmed-up step");
         // Keep a timing entry so `--test` smoke mode exercises this group.
         group.bench_function(label, |b| {
-            b.iter(|| {
-                parallel::serialized(|| pooled_step(&mut net, &mut step, &mut opt, &batch, &labels))
-            })
+            b.iter(|| pooled_step(&mut net, &mut step, &mut opt, &batch, &labels))
         });
     }
     group.finish();

@@ -2,10 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! audit, every subsequent STRIP / Neural Cleanse / Beatrix audit through
-//! the pooled auditors must perform zero heap allocations on the serial
-//! path (`parallel::serialized`, where the fork–join plumbing of the
-//! worker team is pinned off — thread spawns are the one allocation source
-//! the parallel path legitimately keeps).
+//! the pooled auditors must perform zero heap allocations. Every kernel of
+//! an audit runs on the calling thread, so the count holds at any
+//! `REVEIL_THREADS`.
 //!
 //! Alongside the strict allocator count, this file pins:
 //! * bit-identity of the pooled scratch paths (`strip_with` /
@@ -28,7 +27,7 @@ use reveil_defense::{
 use reveil_nn::models;
 use reveil_nn::train::{TrainConfig, Trainer};
 use reveil_nn::Network;
-use reveil_tensor::{parallel, rng, Tensor};
+use reveil_tensor::{rng, Tensor};
 
 struct CountingAllocator;
 
@@ -135,26 +134,24 @@ fn warmed_up_audits_perform_zero_heap_allocations() {
         ("Neural Cleanse", &nc_auditor),
         ("Beatrix", &beatrix_auditor),
     ];
-    parallel::serialized(|| {
-        for (name, auditor) in panel {
-            // Warm-up: the auditor's scratch pool, the network's forward /
-            // backward buffers and the GEMM pack scratch all reach their
-            // steady-state capacity.
-            for _ in 0..2 {
-                auditor.audit(&mut net, &inputs).expect("warm-up audit");
-            }
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for _ in 0..3 {
-                auditor.audit(&mut net, &inputs).expect("audit");
-            }
-            let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-            assert_eq!(
-                allocs, 0,
-                "{name}: a warmed-up audit must perform zero heap \
-                 allocations, counted {allocs} across 3 audits"
-            );
+    for (name, auditor) in panel {
+        // Warm-up: the auditor's scratch pool, the network's forward /
+        // backward buffers and the GEMM pack scratch all reach their
+        // steady-state capacity.
+        for _ in 0..2 {
+            auditor.audit(&mut net, &inputs).expect("warm-up audit");
         }
-    });
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..3 {
+            auditor.audit(&mut net, &inputs).expect("audit");
+        }
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocs, 0,
+            "{name}: a warmed-up audit must perform zero heap \
+             allocations, counted {allocs} across 3 audits"
+        );
+    }
 }
 
 #[test]

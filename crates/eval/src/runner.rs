@@ -762,9 +762,11 @@ fn pending_specs<K: Ord + Copy, T>(
 
 /// The shared fan-out phase of [`ScenarioCache::train_all`] /
 /// [`ScenarioCache::trio_all`]: runs `execute` for every not-yet-cached
-/// distinct spec across the worker team (each worker's cell wrapped in
-/// [`parallel::serialized`] so the kernels underneath don't multiply the
-/// thread count to workers²) and returns the first error in spec order.
+/// distinct spec across the worker team and returns the first error in
+/// spec order. Each worker runs its cells inside
+/// [`parallel::serialized`] (see [`parallel::for_each_chunk`]), so a
+/// cell's own fan-out (a trio's SISA shards) runs inline; a lone pending
+/// cell runs on the calling thread and keeps its shard fan-out.
 fn sweep_pending<K: Ord + Copy, T>(
     map: &Mutex<BTreeMap<K, Slot<T>>>,
     specs: &[ScenarioSpec],
@@ -773,8 +775,7 @@ fn sweep_pending<K: Ord + Copy, T>(
     execute: impl Fn(&ScenarioSpec) -> Result<(), EvalError> + Sync,
 ) -> Result<(), EvalError> {
     let mut pending = pending_specs(map, specs, key_of);
-    let fan_out = pending.len() > 1 && parallel::worker_count() > 1;
-    if fan_out {
+    if pending.len() > 1 && parallel::worker_count() > 1 {
         eprintln!(
             "[sweep] running {} {what} across {} workers",
             pending.len(),
@@ -783,12 +784,7 @@ fn sweep_pending<K: Ord + Copy, T>(
     }
     parallel::for_each_chunk(&mut pending, 1, |_, chunk| {
         for (spec, err) in chunk {
-            let executed = if fan_out {
-                parallel::serialized(|| execute(spec))
-            } else {
-                execute(spec)
-            };
-            if let Err(e) = executed {
+            if let Err(e) = execute(spec) {
                 *err = Some(e);
             }
         }
@@ -958,8 +954,8 @@ impl ScenarioCache {
     /// Cells are pre-warmed through [`train_all`] first (training misses
     /// fan out exactly as there), then the audits themselves fan out:
     /// distinct cells hold distinct locks, so the worker team audits them
-    /// concurrently, each audit wrapped in [`parallel::serialized`] like a
-    /// training cell. Duplicate specs resolve to the same cell and simply
+    /// concurrently, one audit per chunk of [`parallel::for_each_chunk`].
+    /// Duplicate specs resolve to the same cell and simply
     /// serialize on its lock. Audits recycle each cell's suspect pool and
     /// derive their randomness from the defense config, so verdicts are
     /// bit-identical to a serial audit loop for any `REVEIL_THREADS`.
@@ -979,8 +975,7 @@ impl ScenarioCache {
         let cells = self.train_all(specs)?;
         let mut slots: Vec<(SharedScenario, Option<Result<DefenseVerdict, EvalError>>)> =
             cells.into_iter().map(|cell| (cell, None)).collect();
-        let fan_out = slots.len() > 1 && parallel::worker_count() > 1;
-        if fan_out {
+        if slots.len() > 1 && parallel::worker_count() > 1 {
             eprintln!(
                 "[sweep] running {} audits across {} workers",
                 slots.len(),
@@ -989,12 +984,7 @@ impl ScenarioCache {
         }
         parallel::for_each_chunk(&mut slots, 1, |_, chunk| {
             for (cell, slot) in chunk {
-                let audit = || lock_scenario(cell).audit(defense, budget);
-                *slot = Some(if fan_out {
-                    parallel::serialized(audit)
-                } else {
-                    audit()
-                });
+                *slot = Some(lock_scenario(cell).audit(defense, budget));
             }
         });
         // The grid is done: park the cells and the auditor. Auditing

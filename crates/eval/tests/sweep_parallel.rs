@@ -5,7 +5,8 @@
 //! is cached per process). It bit-compares a fig-style multi-cell sweep
 //! run through [`ScenarioCache::train_all`] against direct serial
 //! training, checks the cache trains each distinct cell (and each trio)
-//! exactly once, and pins the empty-suspect-set error contract of the
+//! exactly once, pins SISA shards fanned across the team against shards
+//! trained inline, and pins the empty-suspect-set error contract of the
 //! defense panel.
 
 use std::sync::Arc;
@@ -130,6 +131,40 @@ fn trio_executor_caches_and_matches_direct_runs() {
         cache.trio_trainings(),
         1,
         "provider-normalised key must dedupe the default-axes spelling"
+    );
+}
+
+#[test]
+fn sisa_shard_fan_out_is_bit_identical_to_inline_shards() {
+    force_four_workers();
+    let spec = ScenarioSpec::new(
+        Profile::Smoke,
+        DatasetKind::Cifar10Like,
+        TriggerKind::BadNets,
+    )
+    .with_seed(23)
+    .with_unlearner(UnlearnMethod::Sisa);
+
+    // At top level every SisaEnsemble fans its shards across the team;
+    // inside `serialized` (where a sweep worker runs) they train inline.
+    let fanned = spec.restoration_trio().expect("fanned-out trio");
+    let inline = parallel::serialized(|| spec.restoration_trio()).expect("inline trio");
+    assert_eq!(
+        fanned, inline,
+        "trio (incl. UnlearnReport) depends on shard fan-out"
+    );
+
+    let provider_run = || {
+        let mut provider = spec.train_provider().expect("provider");
+        let trained = provider.measure();
+        let report = provider.restore_backdoor().expect("unlearning request");
+        (trained, report, provider.measure())
+    };
+    let fanned = provider_run();
+    let inline = parallel::serialized(provider_run);
+    assert_eq!(
+        fanned, inline,
+        "provider training or unlearning depends on shard fan-out"
     );
 }
 

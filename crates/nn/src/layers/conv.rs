@@ -7,12 +7,14 @@
 //! and backward hot loops perform no per-sample heap allocation. The
 //! backward pass recomputes the column matrix instead of caching it,
 //! trading a little compute for a large reduction in peak memory (the
-//! cached tensor per layer is just the input).
+//! cached tensor per layer is just the input). Every loop here runs on the
+//! caller's thread: parallelism lives above the layer, at whole cells,
+//! audits and SISA shards.
 
 use rand::rngs::StdRng;
 
 use reveil_tensor::conv::{col2im_batch_into, im2col_batch_into, ConvGeometry};
-use reveil_tensor::{ops, parallel, rng, Tensor};
+use reveil_tensor::{ops, rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
 use crate::{Layer, Mode, NnError, Param};
@@ -39,6 +41,16 @@ impl ConvScratch {
     /// reuse regression tests).
     pub fn capacity(&self) -> usize {
         self.cols.capacity() + self.gemm.capacity() + self.dcols.capacity()
+    }
+}
+
+/// Gathers an `[n, c, oh, ow]` output gradient into the channel-major
+/// `[c, n*oh*ow]` layout the lowered matmuls read.
+fn gather_channel_major(go: &[f32], n: usize, c: usize, ohw: usize, gy: &mut [f32]) {
+    for ch in 0..c {
+        for s in 0..n {
+            gy[(ch * n + s) * ohw..][..ohw].copy_from_slice(&go[(s * c + ch) * ohw..][..ohw]);
+        }
     }
 }
 
@@ -144,9 +156,7 @@ impl Layer for Conv2d {
         resize_buffer(out, &[n, oc, oh, ow]);
         let gemm = self.scratch.gemm.data();
         let bias = self.bias.value().data();
-        let sample_len = oc * ohw;
-        parallel::for_each_chunk(out.data_mut(), sample_len, |start, chunk| {
-            let sample = start / sample_len;
+        for (sample, chunk) in out.data_mut().chunks_exact_mut(oc * ohw).enumerate() {
             for ch in 0..oc {
                 let src = &gemm[ch * n * ohw + sample * ohw..][..ohw];
                 let dst = &mut chunk[ch * ohw..(ch + 1) * ohw];
@@ -155,7 +165,7 @@ impl Layer for Conv2d {
                     *o = v + b;
                 }
             }
-        });
+        }
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
@@ -187,24 +197,7 @@ impl Layer for Conv2d {
         // Gather the output gradient from [n, oc, oh, ow] into the
         // channel-major [oc, n*ohw] layout the matmuls need.
         resize_buffer(&mut self.scratch.gemm, &[oc, n * ohw]);
-        {
-            let go = grad_output.data();
-            let rows_per_chunk = oc.div_ceil(parallel::worker_count()).max(1);
-            parallel::for_each_chunk(
-                self.scratch.gemm.data_mut(),
-                rows_per_chunk * n * ohw,
-                |start, rows| {
-                    let ch0 = start / (n * ohw);
-                    for (local, row) in rows.chunks_mut(n * ohw).enumerate() {
-                        let ch = ch0 + local;
-                        for s in 0..n {
-                            row[s * ohw..(s + 1) * ohw]
-                                .copy_from_slice(&go[(s * oc + ch) * ohw..][..ohw]);
-                        }
-                    }
-                },
-            );
-        }
+        gather_channel_major(grad_output.data(), n, oc, ohw, self.scratch.gemm.data_mut());
 
         // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
         // straight into the parameter gradient by the fused GEMM epilogue
@@ -337,9 +330,7 @@ impl Layer for DepthwiseConv2d {
         let bias = self.bias.value().data();
 
         resize_buffer(out, &[n, c, oh, ow]);
-        let sample_len = c * ohw;
-        parallel::for_each_chunk(out.data_mut(), sample_len, |start, chunk| {
-            let sample = start / sample_len;
+        for (sample, chunk) in out.data_mut().chunks_exact_mut(c * ohw).enumerate() {
             for ch in 0..c {
                 let dst = &mut chunk[ch * ohw..(ch + 1) * ohw];
                 dst.fill(bias[ch]);
@@ -351,7 +342,7 @@ impl Layer for DepthwiseConv2d {
                     }
                 }
             }
-        });
+        }
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
@@ -375,16 +366,7 @@ impl Layer for DepthwiseConv2d {
 
         // Gather the output gradient into channel-major [c, n*ohw] rows.
         resize_buffer(&mut self.scratch.gemm, &[c, n * ohw]);
-        {
-            let go = grad_output.data();
-            let gy = self.scratch.gemm.data_mut();
-            for ch in 0..c {
-                for s in 0..n {
-                    gy[ch * n * ohw + s * ohw..ch * n * ohw + (s + 1) * ohw]
-                        .copy_from_slice(&go[(s * c + ch) * ohw..][..ohw]);
-                }
-            }
-        }
+        gather_channel_major(grad_output.data(), n, c, ohw, self.scratch.gemm.data_mut());
 
         // dW[ch][t] += <gy[ch], cols[ch*k2+t]>, db[ch] += Σ gy[ch]: straight
         // dot products over contiguous rows.
@@ -409,23 +391,13 @@ impl Layer for DepthwiseConv2d {
         resize_buffer(&mut self.scratch.dcols, &[c * k2, n * ohw]);
         {
             let gy = self.scratch.gemm.data();
-            let weight = self.weight.value().data();
-            let rows_per_chunk = (c * k2).div_ceil(parallel::worker_count()).max(1);
-            parallel::for_each_chunk(
-                self.scratch.dcols.data_mut(),
-                rows_per_chunk * n * ohw,
-                |start, rows| {
-                    let row0 = start / (n * ohw);
-                    for (local, dst) in rows.chunks_mut(n * ohw).enumerate() {
-                        let row = row0 + local;
-                        let wv = weight[row];
-                        let g = &gy[(row / k2) * n * ohw..][..n * ohw];
-                        for (o, &v) in dst.iter_mut().zip(g) {
-                            *o = wv * v;
-                        }
-                    }
-                },
-            );
+            let dcols = self.scratch.dcols.data_mut();
+            for (row, &wv) in self.weight.value().data().iter().enumerate() {
+                let g = &gy[(row / k2) * n * ohw..][..n * ohw];
+                for (o, &v) in dcols[row * n * ohw..][..n * ohw].iter_mut().zip(g) {
+                    *o = wv * v;
+                }
+            }
         }
         col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
             .unwrap_or_else(|e| panic!("{e}"));

@@ -10,98 +10,14 @@
 //! over its `(value, grad, state)` slices — no per-step gradient clones,
 //! velocity clones or collected output vectors — so a warmed-up step
 //! allocates nothing (optimizer state is created once, on the first step
-//! that sees a parameter). Large parameters fan the sweep out across the
-//! [`reveil_tensor::parallel`] worker team; element updates are
-//! independent, so results are bit-identical for any worker count (and
-//! the serial path inside `parallel::serialized` builds no task list).
+//! that sees a parameter). The sweeps run on the caller's thread, like
+//! every other kernel of the training step.
 
 use std::collections::BTreeMap;
 
-use reveil_tensor::{parallel, Tensor};
+use reveil_tensor::Tensor;
 
 use crate::{Network, Param};
-
-/// Minimum parameter length before an optimizer sweep forks worker
-/// threads; below this, threading costs more than it saves.
-const PAR_MIN_LEN: usize = 16 * 1024;
-
-/// Splits two aligned slices into one chunk group per worker and fans
-/// `f` across the [`reveil_tensor::parallel`] team. Serial (single worker
-/// or small parameter) calls run inline without building a task list.
-fn sweep2(value: &mut [f32], grad: &[f32], f: impl Fn(&mut [f32], &[f32]) + Sync) {
-    let workers = parallel::worker_count();
-    if workers <= 1 || value.len() < PAR_MIN_LEN {
-        f(value, grad);
-        return;
-    }
-    let chunk = value.len().div_ceil(workers);
-    let mut parts: Vec<(&mut [f32], &[f32])> =
-        value.chunks_mut(chunk).zip(grad.chunks(chunk)).collect();
-    parallel::for_each_chunk(&mut parts, 1, |_, group| {
-        for (a, b) in group.iter_mut() {
-            f(a, b);
-        }
-    });
-}
-
-/// Splits three aligned slices into one chunk group per worker and fans
-/// `f` across the [`reveil_tensor::parallel`] team. Serial (single worker
-/// or small parameter) calls run inline without building a task list.
-fn sweep3(
-    value: &mut [f32],
-    grad: &[f32],
-    state: &mut [f32],
-    f: impl Fn(&mut [f32], &[f32], &mut [f32]) + Sync,
-) {
-    let workers = parallel::worker_count();
-    if workers <= 1 || value.len() < PAR_MIN_LEN {
-        f(value, grad, state);
-        return;
-    }
-    let chunk = value.len().div_ceil(workers);
-    let mut parts: Vec<(&mut [f32], &[f32], &mut [f32])> = value
-        .chunks_mut(chunk)
-        .zip(grad.chunks(chunk))
-        .zip(state.chunks_mut(chunk))
-        .map(|((a, b), c)| (a, b, c))
-        .collect();
-    parallel::for_each_chunk(&mut parts, 1, |_, group| {
-        for (a, b, c) in group.iter_mut() {
-            f(a, b, c);
-        }
-    });
-}
-
-/// One worker's aligned chunk group in a [`sweep4`] fan-out.
-type Chunk4<'a> = (&'a mut [f32], &'a [f32], &'a mut [f32], &'a mut [f32]);
-
-/// [`sweep3`] with a second mutable state slice (Adam's two moments).
-fn sweep4(
-    value: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    f: impl Fn(&mut [f32], &[f32], &mut [f32], &mut [f32]) + Sync,
-) {
-    let workers = parallel::worker_count();
-    if workers <= 1 || value.len() < PAR_MIN_LEN {
-        f(value, grad, m, v);
-        return;
-    }
-    let chunk = value.len().div_ceil(workers);
-    let mut parts: Vec<Chunk4<'_>> = value
-        .chunks_mut(chunk)
-        .zip(grad.chunks(chunk))
-        .zip(m.chunks_mut(chunk))
-        .zip(v.chunks_mut(chunk))
-        .map(|(((a, b), c), d)| (a, b, c, d))
-        .collect();
-    parallel::for_each_chunk(&mut parts, 1, |_, group| {
-        for (a, b, c, d) in group.iter_mut() {
-            f(a, b, c, d);
-        }
-    });
-}
 
 /// A first-order optimizer stepping a [`Network`]'s parameters from their
 /// accumulated gradients.
@@ -164,26 +80,18 @@ impl Sgd {
             // One fused sweep: u = g + wd·w, v = momentum·v + u,
             // w += -lr·v — the same per-element arithmetic as the old
             // clone-the-gradient path, with no temporaries.
-            sweep3(
-                value.data_mut(),
-                grad.data(),
-                vel.data_mut(),
-                |value, grad, vel| {
-                    for ((w, &g), v) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
-                        let u = if wd != 0.0 { g + wd * *w } else { g };
-                        *v = momentum * *v + u;
-                        *w += -lr * *v;
-                    }
-                },
-            );
+            let elems = value.data_mut().iter_mut().zip(grad.data());
+            for ((w, &g), v) in elems.zip(vel.data_mut()) {
+                let u = if wd != 0.0 { g + wd * *w } else { g };
+                *v = momentum * *v + u;
+                *w += -lr * *v;
+            }
         } else {
             let (value, grad) = p.value_and_grad_mut();
-            sweep2(value.data_mut(), grad.data(), |value, grad| {
-                for (w, &g) in value.iter_mut().zip(grad) {
-                    let u = if wd != 0.0 { g + wd * *w } else { g };
-                    *w += -lr * u;
-                }
-            });
+            for (w, &g) in value.data_mut().iter_mut().zip(grad.data()) {
+                let u = if wd != 0.0 { g + wd * *w } else { g };
+                *w += -lr * u;
+            }
         }
     }
 }
@@ -272,27 +180,20 @@ impl Adam {
         // per-element arithmetic as the old collect-to-Vec path (each
         // element reads its weight before writing it), no temporaries.
         let (value, grad) = p.value_and_grad_mut();
-        sweep4(
-            value.data_mut(),
-            grad.data(),
-            m.data_mut(),
-            v.data_mut(),
-            |value, grad, m, v| {
-                for (((w, &g0), m_i), v_i) in value
-                    .iter_mut()
-                    .zip(grad)
-                    .zip(m.iter_mut())
-                    .zip(v.iter_mut())
-                {
-                    let g = g0 + wd * *w;
-                    *m_i = b1 * *m_i + (1.0 - b1) * g;
-                    *v_i = b2 * *v_i + (1.0 - b2) * g * g;
-                    let m_hat = *m_i / bias1;
-                    let v_hat = *v_i / bias2;
-                    *w -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
-            },
-        );
+        for (((w, &g0), m_i), v_i) in value
+            .data_mut()
+            .iter_mut()
+            .zip(grad.data())
+            .zip(m.data_mut())
+            .zip(v.data_mut())
+        {
+            let g = g0 + wd * *w;
+            *m_i = b1 * *m_i + (1.0 - b1) * g;
+            *v_i = b2 * *v_i + (1.0 - b2) * g * g;
+            let m_hat = *m_i / bias1;
+            let v_hat = *v_i / bias2;
+            *w -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
     }
 }
 

@@ -3,9 +3,8 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! batch, one full training step (forward → loss → backward → optimizer
 //! step) over a model using **every** layer type must perform zero heap
-//! allocations on the serial path (`parallel::serialized`, where the
-//! fork–join plumbing of the worker team is pinned off — thread spawns are
-//! the one allocation source the parallel path legitimately keeps).
+//! allocations. Every kernel of the step runs on the calling thread, so
+//! the count holds at any `REVEIL_THREADS`.
 //!
 //! Alongside the strict allocator count, this file pins:
 //! * bit-identity of the pooled-buffer path (`TrainStep`) against the
@@ -27,7 +26,7 @@ use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Adam, Optimizer, Sgd};
 use reveil_nn::train::{TrainConfig, TrainStep, Trainer};
 use reveil_nn::{Mode, Network, Sequential};
-use reveil_tensor::{parallel, rng, Tensor};
+use reveil_tensor::{rng, Tensor};
 
 struct CountingAllocator;
 
@@ -97,23 +96,21 @@ fn assert_zero_alloc_steps(opt: &mut dyn Optimizer, opt_name: &str) {
     let mut net = all_layers_net();
     let (batch, labels) = smoke_batch();
     let mut step = TrainStep::new();
-    parallel::serialized(|| {
-        // Warm-up: buffers, optimizer state and GEMM pack scratch all
-        // reach their steady-state capacity.
-        for _ in 0..2 {
-            step.run(&mut net, opt, &batch, &labels).expect("warm-up");
-        }
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..3 {
-            step.run(&mut net, opt, &batch, &labels).expect("step");
-        }
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(
-            allocs, 0,
-            "{opt_name}: a warmed-up training step must perform zero heap \
-             allocations, counted {allocs} across 3 steps"
-        );
-    });
+    // Warm-up: buffers, optimizer state and GEMM pack scratch all reach
+    // their steady-state capacity.
+    for _ in 0..2 {
+        step.run(&mut net, opt, &batch, &labels).expect("warm-up");
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..3 {
+        step.run(&mut net, opt, &batch, &labels).expect("step");
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocs, 0,
+        "{opt_name}: a warmed-up training step must perform zero heap \
+         allocations, counted {allocs} across 3 steps"
+    );
 }
 
 #[test]

@@ -11,10 +11,10 @@
 //! convolution layer performs one large matmul per call instead of `n`
 //! small ones and allocates nothing per sample. The inner loops copy whole
 //! valid row segments (computed analytically from the geometry) instead of
-//! testing every tap for padding.
+//! testing every tap for padding. Like the GEMM, the lowering runs
+//! single-threaded on its caller's thread.
 
 use crate::error::TensorError;
-use crate::parallel;
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution or pooling window.
@@ -107,13 +107,12 @@ impl ConvGeometry {
     }
 }
 
-/// Fills rows `row_start..row_start + dst.len() / ncols` of a batched
-/// `[c*kh*kw, n*oh*ow]` column matrix. Each row is one kernel tap
-/// `(channel, ky, kx)`; sample `s` occupies the column block
+/// Fills a batched `[c*kh*kw, n*oh*ow]` column matrix. Each row is one
+/// kernel tap `(channel, ky, kx)`; sample `s` occupies the column block
 /// `s*oh*ow..(s+1)*oh*ow`. `dst` is fully overwritten (padding taps become
 /// zero).
 #[allow(clippy::too_many_arguments)]
-fn fill_im2col_rows(
+fn fill_im2col(
     src: &[f32],
     n: usize,
     c: usize,
@@ -122,14 +121,13 @@ fn fill_im2col_rows(
     geom: ConvGeometry,
     oh: usize,
     ow: usize,
-    row_start: usize,
     dst: &mut [f32],
 ) {
     let ncols = n * oh * ow;
     let k2 = geom.kh * geom.kw;
     dst.fill(0.0);
-    for (local, row_dst) in dst.chunks_mut(ncols).enumerate() {
-        let row = row_start + local;
+    for row in 0..c * k2 {
+        let row_dst = &mut dst[row * ncols..(row + 1) * ncols];
         let ch = row / k2;
         let ky = (row % k2) / geom.kw;
         let kx = row % geom.kw;
@@ -206,7 +204,7 @@ fn scatter_col2im_sample(
 /// column matrix, writing into `out` (resized in place, reusing its
 /// allocation). Sample `s` occupies columns `s*oh*ow..(s+1)*oh*ow`, so a
 /// single matmul against the `[oc, c*kh*kw]` kernel matrix convolves the
-/// whole batch. The lowering parallelizes across kernel-tap rows.
+/// whole batch.
 ///
 /// # Errors
 ///
@@ -227,20 +225,16 @@ pub fn im2col_batch_into(
     let (oh, ow) = geom.output_size(h, w)?;
     let rows = c * geom.kh * geom.kw;
     let ncols = n * oh * ow;
-    // fill_im2col_rows overwrites every element (padding included), so the
+    // fill_im2col overwrites every element (padding included), so the
     // resize does not need to pre-fill.
     out.resize_for_overwrite(&[rows, ncols]);
-    let src = input.data();
-    let rows_per_chunk = rows.div_ceil(parallel::worker_count()).max(1);
-    parallel::for_each_chunk(out.data_mut(), rows_per_chunk * ncols, |start, chunk| {
-        fill_im2col_rows(src, n, c, h, w, geom, oh, ow, start / ncols, chunk);
-    });
+    fill_im2col(input.data(), n, c, h, w, geom, oh, ow, out.data_mut());
     Ok(())
 }
 
 /// Adjoint of [`im2col_batch_into`]: scatters a `[c*kh*kw, n*oh*ow]` column
 /// matrix back into an `[n, c, h, w]` gradient tensor, writing into `out`
-/// (resized in place). The scatter parallelizes across samples.
+/// (resized in place), one sample at a time.
 ///
 /// # Errors
 ///
@@ -267,11 +261,11 @@ pub fn col2im_batch_into(
     // scatter_col2im_sample zero-fills each sample chunk before
     // accumulating, so the resize does not need to pre-fill.
     out.resize_for_overwrite(&[n, c, h, w]);
-    let src = cols.data();
     let sample_len = c * h * w;
-    parallel::for_each_chunk(out.data_mut(), sample_len, |start, chunk| {
-        scatter_col2im_sample(src, start / sample_len, n, c, h, w, geom, oh, ow, chunk);
-    });
+    for s in 0..n {
+        let dst = &mut out.data_mut()[s * sample_len..(s + 1) * sample_len];
+        scatter_col2im_sample(cols.data(), s, n, c, h, w, geom, oh, ow, dst);
+    }
     Ok(())
 }
 
@@ -296,7 +290,7 @@ pub fn im2col(input: &Tensor, geom: ConvGeometry) -> Result<Tensor, TensorError>
     let (oh, ow) = geom.output_size(h, w)?;
     let rows = c * geom.kh * geom.kw;
     let mut out = Tensor::zeros(&[rows, oh * ow]);
-    fill_im2col_rows(input.data(), 1, c, h, w, geom, oh, ow, 0, out.data_mut());
+    fill_im2col(input.data(), 1, c, h, w, geom, oh, ow, out.data_mut());
     Ok(out)
 }
 

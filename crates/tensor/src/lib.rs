@@ -17,8 +17,11 @@
 //!   ([`dct`]),
 //! * deterministic, stream-splittable random number helpers including a
 //!   Box–Muller Gaussian ([`rng`]), and
-//! * a tiny fork–join helper sized for small containers ([`parallel`];
-//!   worker count overridable via `REVEIL_THREADS`).
+//! * the worker team that fans whole cells, audits and SISA shards across
+//!   threads ([`parallel`]; worker count overridable via `REVEIL_THREADS`).
+//!
+//! Every kernel above runs single-threaded on its caller's thread; the
+//! worker team is the only parallelism in the workspace.
 //!
 //! # Example
 //!

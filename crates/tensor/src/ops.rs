@@ -16,25 +16,19 @@
 //! fused multiply–add over fixed-size arrays that the compiler unrolls and
 //! vectorizes. Packing normalises every transpose flavour to the same inner
 //! loop, so the NN/TN/NT variants produce bit-identical results to each
-//! other and to the serial path.
+//! other.
 //!
-//! Work parallelizes over MR-aligned row bands via
-//! [`parallel::scoped_bands`]: the team packs each `(pc, jc)` B block
-//! **once** into shared per-strip buffers (strips assigned round-robin,
-//! phases separated by [`parallel::Team::sync`]) instead of every worker
-//! repacking its own copy; only A panels stay thread-local. Because the
-//! `(jc, pc)` loop order and the per-strip accumulation order are identical
-//! on the serial and parallel paths, results are bit-identical for any
-//! worker count.
+//! The kernel is single-threaded: it runs on its caller's thread, whose
+//! pack buffers it reuses. Parallelism lives above it, at whole cells,
+//! audits and SISA shards (see [`crate::parallel`]). Every output row
+//! accumulates from its own A row in one fixed order, so a row's bits do
+//! not depend on the rows stacked beside it.
 //!
 //! The `*_acc_into` variants fuse an accumulate epilogue
 //! (`C = A·B + beta·C`) into the same kernel, so gradient paths that would
 //! otherwise run a matmul followed by an `axpy` touch `C` only once.
 
-use std::sync::RwLock;
-
 use crate::error::TensorError;
-use crate::parallel;
 use crate::tensor::Tensor;
 
 fn expect_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize), TensorError> {
@@ -47,10 +41,6 @@ fn expect_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize), TensorEr
         }),
     }
 }
-
-/// Minimum number of multiply–accumulate operations before a matmul forks
-/// worker threads; below this, threading costs more than it saves.
-const PAR_FLOPS_THRESHOLD: usize = 1 << 17;
 
 /// Rows per register tile: the micro-kernel keeps an `MR x NR` accumulator
 /// block live across the whole k-loop.
@@ -127,47 +117,10 @@ fn pack_a(
     }
 }
 
-/// Packs strip `t` (columns `j0 + t*NR ..`) of `B[p0..p0+kb, j0..j0+nb]`
-/// into `strip`, stored p-major so the micro-kernel reads `NR` values per
-/// k-step from one contiguous slot. Columns beyond `nb` pad with zeros.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_strip(
-    b: &[f32],
-    major: BMajor,
-    k: usize,
-    n: usize,
-    p0: usize,
-    kb: usize,
-    j0: usize,
-    nb: usize,
-    t: usize,
-    strip: &mut [f32],
-) {
-    let cols = NR.min(nb - t * NR);
-    debug_assert!(strip.len() >= kb * NR);
-    let strip = &mut strip[..kb * NR];
-    strip.fill(0.0);
-    match major {
-        BMajor::Row => {
-            for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                let src = &b[(p0 + p) * n + j0 + t * NR..][..cols];
-                dst[..cols].copy_from_slice(src);
-            }
-        }
-        BMajor::Col => {
-            for c in 0..cols {
-                let src = &b[(j0 + t * NR + c) * k + p0..][..kb];
-                for (p, &v) in src.iter().enumerate() {
-                    strip[p * NR + c] = v;
-                }
-            }
-        }
-    }
-}
-
 /// Packs `B[p0..p0+kb, j0..j0+nb]` into NR-column strips stored
-/// back-to-back (the serial path; the parallel path packs strips
-/// individually into shared buffers via [`pack_b_strip`]).
+/// back-to-back: strip `t` holds columns `j0 + t*NR ..`, stored p-major so
+/// the micro-kernel reads `NR` values per k-step from one contiguous slot.
+/// Columns beyond `nb` pad with zeros.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     b: &[f32],
@@ -182,19 +135,25 @@ fn pack_b(
 ) {
     let strips = nb.div_ceil(NR);
     debug_assert!(bpack.len() >= strips * kb * NR);
-    for t in 0..strips {
-        pack_b_strip(
-            b,
-            major,
-            k,
-            n,
-            p0,
-            kb,
-            j0,
-            nb,
-            t,
-            &mut bpack[t * kb * NR..(t + 1) * kb * NR],
-        );
+    bpack[..strips * kb * NR].fill(0.0);
+    for (t, strip) in bpack.chunks_exact_mut(kb * NR).take(strips).enumerate() {
+        let cols = NR.min(nb - t * NR);
+        match major {
+            BMajor::Row => {
+                for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
+                    let src = &b[(p0 + p) * n + j0 + t * NR..][..cols];
+                    dst[..cols].copy_from_slice(src);
+                }
+            }
+            BMajor::Col => {
+                for c in 0..cols {
+                    let src = &b[(j0 + t * NR + c) * k + p0..][..kb];
+                    for (p, &v) in src.iter().enumerate() {
+                        strip[p * NR + c] = v;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -217,38 +176,6 @@ fn microkernel(apack: &[f32], bpack: &[f32], acc: &mut [[f32; NR]; MR]) {
     }
 }
 
-/// Multiplies the packed A panel for rows `i0..i0+mb` against one packed
-/// NR-column B strip starting at global column `col0`, accumulating into
-/// the row-major `out` (full width `n`).
-#[allow(clippy::too_many_arguments)]
-fn run_panel_bstrip(
-    apack: &[f32],
-    bstrip: &[f32],
-    kb: usize,
-    mb: usize,
-    cols: usize,
-    i0: usize,
-    col0: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let a_strips = mb.div_ceil(MR);
-    let bstrip = &bstrip[..kb * NR];
-    for s in 0..a_strips {
-        let rows = MR.min(mb - s * MR);
-        let astrip = &apack[s * kb * MR..(s + 1) * kb * MR];
-        let mut acc = [[0.0f32; NR]; MR];
-        microkernel(astrip, bstrip, &mut acc);
-        for (r, acc_row) in acc.iter().take(rows).enumerate() {
-            let row = i0 + s * MR + r;
-            let dst = &mut out[row * n + col0..][..cols];
-            for (o, v) in dst.iter_mut().zip(&acc_row[..cols]) {
-                *o += v;
-            }
-        }
-    }
-}
-
 /// Multiplies the packed A panel for rows `i0..i0+mb` against the packed B
 /// panel for columns `j0..j0+nb`, accumulating into the row-major `out`
 /// (full width `n`).
@@ -264,19 +191,30 @@ fn run_panel(
     n: usize,
     out: &mut [f32],
 ) {
-    let b_strips = nb.div_ceil(NR);
-    for t in 0..b_strips {
+    let a_strips = mb.div_ceil(MR);
+    for (t, bstrip) in bpack
+        .chunks_exact(kb * NR)
+        .take(nb.div_ceil(NR))
+        .enumerate()
+    {
         let cols = NR.min(nb - t * NR);
-        let bstrip = &bpack[t * kb * NR..(t + 1) * kb * NR];
-        run_panel_bstrip(apack, bstrip, kb, mb, cols, i0, j0 + t * NR, n, out);
+        for s in 0..a_strips {
+            let rows = MR.min(mb - s * MR);
+            let astrip = &apack[s * kb * MR..(s + 1) * kb * MR];
+            let mut acc = [[0.0f32; NR]; MR];
+            microkernel(astrip, bstrip, &mut acc);
+            for (r, acc_row) in acc.iter().take(rows).enumerate() {
+                let dst = &mut out[(i0 + s * MR + r) * n + j0 + t * NR..][..cols];
+                for (o, v) in dst.iter_mut().zip(&acc_row[..cols]) {
+                    *o += v;
+                }
+            }
+        }
     }
 }
 
-// Pack buffers are thread-local: on the serial path (small/medium
-// products, and everything on single-core machines) repeated matmuls
-// reuse one long-lived allocation. Parallel row-band workers are fresh
-// scoped threads, so they allocate once per gemm call — amortised over
-// a large product. Buffers are sized for the largest panel this call
+// Pack buffers are thread-local, so repeated matmuls on one thread reuse
+// one long-lived allocation. They are sized for the largest panel a call
 // will see, so tiny products don't touch full-size tiles; pack_a/pack_b
 // overwrite their active region, so no pre-fill is needed beyond Vec
 // growth.
@@ -285,181 +223,14 @@ thread_local! {
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Blocked, packed `out += A·B` over the row range `rows`; `out` is the
-/// full-width row-major slice for exactly that row range (its first element
-/// is `C[rows.start][0]`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_rows(
-    a: &[f32],
-    a_major: AMajor,
-    b: &[f32],
-    b_major: BMajor,
-    m: usize,
-    k: usize,
-    n: usize,
-    row0: usize,
-    row1: usize,
-    out: &mut [f32],
-) {
-    PACK_SCRATCH.with(|cell| {
-        let (apack, bpack) = &mut *cell.borrow_mut();
-        let kc_eff = KC.min(k);
-        let mc_eff = MC.min(row1 - row0);
-        let nc_eff = NC.min(n);
-        let a_len = mc_eff.div_ceil(MR) * MR * kc_eff;
-        let b_len = nc_eff.div_ceil(NR) * NR * kc_eff;
-        if apack.len() < a_len {
-            apack.resize(a_len, 0.0);
-        }
-        if bpack.len() < b_len {
-            bpack.resize(b_len, 0.0);
-        }
-        gemm_panels(
-            a, a_major, b, b_major, m, k, n, row0, row1, out, apack, bpack,
-        );
-    });
-}
-
-/// The blocked loop nest of [`gemm_rows`], operating on caller-provided
-/// pack buffers.
-#[allow(clippy::too_many_arguments)]
-fn gemm_panels(
-    a: &[f32],
-    a_major: AMajor,
-    b: &[f32],
-    b_major: BMajor,
-    m: usize,
-    k: usize,
-    n: usize,
-    row0: usize,
-    row1: usize,
-    out: &mut [f32],
-    apack: &mut [f32],
-    bpack: &mut [f32],
-) {
-    let mut jc = 0;
-    while jc < n {
-        let nb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb = KC.min(k - pc);
-            pack_b(b, b_major, k, n, pc, kb, jc, nb, bpack);
-            let mut ic = row0;
-            while ic < row1 {
-                let mb = MC.min(row1 - ic);
-                pack_a(a, a_major, k, m, ic, mb, pc, kb, apack);
-                run_panel(apack, bpack, kb, mb, nb, ic - row0, jc, n, out);
-                ic += mb;
-            }
-            pc += kb;
-        }
-        jc += nb;
-    }
-}
-
-/// Parallel GEMM over MR-aligned row bands with **shared** packed-B panels.
-///
-/// Each `(jc, pc)` B block is packed exactly once per call: its NR-column
-/// strips are assigned round-robin across the team, packed into the shared
-/// per-strip buffers, and published to every worker by a barrier. Workers
-/// then consume the shared panels against thread-local A packs for their
-/// own row band, and a second barrier keeps the next repack from starting
-/// while any worker still reads the current block. The `(jc, pc)` loop
-/// order matches the serial path, so results are bit-identical for any
-/// worker count.
-#[allow(clippy::too_many_arguments)]
-fn gemm_parallel(
-    a: &[f32],
-    a_major: AMajor,
-    b: &[f32],
-    b_major: BMajor,
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-    out: &mut [f32],
-) {
-    let kc_eff = KC.min(k);
-    // One lock per NR-column strip of a B block. Each strip is write-locked
-    // once by its packer per (jc, pc) block and read-locked briefly per
-    // consuming register-tile sweep; both are uncontended by construction
-    // (the barrier separates the phases), so the lock cost is noise next to
-    // the packing and FMA work it guards.
-    let shared_b: Vec<RwLock<Vec<f32>>> = (0..NC.min(n).div_ceil(NR))
-        .map(|_| RwLock::new(vec![0.0f32; kc_eff * NR]))
-        .collect();
-    // Whole MR-aligned row bands per worker keep every register tile
-    // inside one band.
-    let band_rows = m.div_ceil(workers).div_ceil(MR).max(1) * MR;
-    parallel::scoped_bands(
-        out,
-        band_rows * n,
-        &shared_b,
-        |team, w, start, band, shared_b| {
-            let row0 = start / n;
-            let row1 = row0 + band.len() / n;
-            PACK_SCRATCH.with(|cell| {
-                let (apack, _) = &mut *cell.borrow_mut();
-                let a_len = MC.min(row1 - row0).div_ceil(MR) * MR * kc_eff;
-                if apack.len() < a_len {
-                    apack.resize(a_len, 0.0);
-                }
-                let mut jc = 0;
-                while jc < n {
-                    let nb = NC.min(n - jc);
-                    let active = nb.div_ceil(NR);
-                    let mut pc = 0;
-                    while pc < k {
-                        let kb = KC.min(k - pc);
-                        // Phase 1: cooperatively pack this block's strips.
-                        let mut t = w;
-                        while t < active {
-                            let mut strip = shared_b[t].write().expect("B-strip lock poisoned");
-                            pack_b_strip(b, b_major, k, n, pc, kb, jc, nb, t, &mut strip);
-                            t += team.size();
-                        }
-                        team.sync();
-                        // Phase 2: every worker consumes the shared panels
-                        // against its own row band.
-                        let mut ic = row0;
-                        while ic < row1 {
-                            let mb = MC.min(row1 - ic);
-                            pack_a(a, a_major, k, m, ic, mb, pc, kb, apack);
-                            for (t, cell) in shared_b.iter().take(active).enumerate() {
-                                let cols = NR.min(nb - t * NR);
-                                let strip = cell.read().expect("B-strip lock poisoned");
-                                run_panel_bstrip(
-                                    apack,
-                                    &strip,
-                                    kb,
-                                    mb,
-                                    cols,
-                                    ic - row0,
-                                    jc + t * NR,
-                                    n,
-                                    band,
-                                );
-                            }
-                            ic += mb;
-                        }
-                        team.sync();
-                        pc += kb;
-                    }
-                    jc += nb;
-                }
-            });
-        },
-    );
-}
-
 /// Tiled, packed `out = A·B + beta·out` (any transpose flavour via the
 /// major flags).
 ///
 /// `out` must be `m * n` elements. `beta == 0.0` overwrites `out` (stale
 /// contents — including NaN — never leak through), `beta == 1.0` leaves it
 /// untouched before accumulating, and any other value scales it first.
-/// Parallelizes over row panels when the flop count is large enough to
-/// amortise thread spawns.
+/// The `(jc, pc, ic)` loop nest packs each B block once and sweeps every
+/// A panel against it.
 #[allow(clippy::too_many_arguments)]
 fn gemm_into(
     a: &[f32],
@@ -483,12 +254,30 @@ fn gemm_into(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let workers = parallel::worker_count();
-    if m * n * k >= PAR_FLOPS_THRESHOLD && m > 1 && workers > 1 {
-        gemm_parallel(a, a_major, b, b_major, m, k, n, workers, out);
-    } else {
-        gemm_rows(a, a_major, b, b_major, m, k, n, 0, m, out);
-    }
+    PACK_SCRATCH.with(|cell| {
+        let (apack, bpack) = &mut *cell.borrow_mut();
+        let kc_eff = KC.min(k);
+        let a_len = MC.min(m).div_ceil(MR) * MR * kc_eff;
+        let b_len = NC.min(n).div_ceil(NR) * NR * kc_eff;
+        if apack.len() < a_len {
+            apack.resize(a_len, 0.0);
+        }
+        if bpack.len() < b_len {
+            bpack.resize(b_len, 0.0);
+        }
+        for jc in (0..n).step_by(NC) {
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
+                pack_b(b, b_major, k, n, pc, kb, jc, nb, bpack);
+                for ic in (0..m).step_by(MC) {
+                    let mb = MC.min(m - ic);
+                    pack_a(a, a_major, k, m, ic, mb, pc, kb, apack);
+                    run_panel(apack, bpack, kb, mb, nb, ic, jc, n, out);
+                }
+            }
+        }
+    });
 }
 
 /// `C = A·B` for `A: [m, k]`, `B: [k, n]`.
@@ -653,7 +442,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Te
 /// scale `out` first. Gradient paths use `beta = 1.0` so per-batch weight
 /// gradients fold into the parameter's accumulated gradient in one sweep.
 ///
-/// Results are deterministic for any thread count, but when `k` spans
+/// Results are deterministic, but when `k` spans
 /// multiple `KC`-blocks the epilogue folds each block's contribution into
 /// `C` as it goes, so the result can differ from a separate
 /// matmul-then-`axpy` by normal f32 rounding (the two group the same
@@ -1042,28 +831,33 @@ mod tests {
         assert_eq!(matmul_nt(&c, &d).unwrap(), expected);
     }
 
+    /// Each output row accumulates from its own A row in one fixed order,
+    /// so stacking rows (the samples of a batch) never changes a row's
+    /// bits — for every transpose flavour and the accumulate epilogue. The
+    /// shape spans several MC row blocks and ragged NR/KC tails.
     #[test]
-    fn large_matmul_parallel_path_matches_serial() {
-        // Big enough to cross PAR_FLOPS_THRESHOLD and exercise threading.
-        let m = 64;
-        let k = 33;
-        let n = 70;
-        let a = Tensor::from_fn(&[m, k], |i| ((i * 37 % 11) as f32) - 5.0);
-        let b = Tensor::from_fn(&[k, n], |i| ((i * 53 % 7) as f32) - 3.0);
-        let fast = matmul(&a, &b).unwrap();
-        // Serial reference.
-        let mut slow = Tensor::zeros(&[m, n]);
+    fn matmul_rows_are_bit_identical_to_single_row_products() {
+        let (m, k, n) = (256, 101, 129);
+        let a = Tensor::from_fn(&[m, k], |i| ((i * 37 % 11) as f32 - 5.0) * 0.25);
+        let b = Tensor::from_fn(&[k, n], |i| ((i * 53 % 7) as f32 - 3.0) * 0.25);
+        let full = matmul(&a, &b).unwrap();
         for i in 0..m {
-            for p in 0..k {
-                for j in 0..n {
-                    let v = a.data()[i * k + p] * b.data()[p * n + j];
-                    slow.data_mut()[i * n + j] += v;
-                }
-            }
+            let row = t(&[1, k], &a.data()[i * k..(i + 1) * k]);
+            let single = matmul(&row, &b).unwrap();
+            assert_eq!(&full.data()[i * n..(i + 1) * n], single.data(), "row {i}");
         }
-        for (x, y) in fast.data().iter().zip(slow.data()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
+        assert_eq!(matmul_tn(&transpose(&a).unwrap(), &b).unwrap(), full);
+        assert_eq!(matmul_nt(&a, &transpose(&b).unwrap()).unwrap(), full);
+
+        // beta = 0 overwrites stale NaN; beta = 1 then adds v + v, which is
+        // exact, so the result is bitwise 2·product.
+        let mut acc = Tensor::full(&[m, n], f32::NAN);
+        matmul_acc_into(&a, &b, 0.0, &mut acc).unwrap();
+        assert_eq!(acc, full);
+        matmul_acc_into(&a, &b, 1.0, &mut acc).unwrap();
+        let mut twice = full.clone();
+        twice.scale(2.0);
+        assert_eq!(acc, twice);
     }
 
     /// Naive triple-loop reference for `A·B` with explicit index maps, used

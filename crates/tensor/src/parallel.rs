@@ -1,10 +1,14 @@
-//! Minimal fork–join helpers sized for small evaluation containers.
+//! The worker team: the one level of parallelism in this workspace.
 //!
-//! The heavy loops in this workspace (matmul row panels, batched
-//! convolution lowering, per-shard SISA training) are embarrassingly
-//! parallel over an outer index. [`for_each_chunk`] splits such a loop over
-//! a small number of OS threads using `std::thread::scope`, so no
+//! Every kernel (GEMM, im2col/col2im, the convolution scatters, the
+//! optimizer sweeps) runs single-threaded on its calling thread. The work
+//! is fanned out only at the coarsest independent unit: experiment cells,
+//! defense audits and SISA shards. [`for_each_chunk`] spreads such a loop
+//! over a small number of OS threads using `std::thread::scope`, so no
 //! dependency beyond `std` is needed and no thread pool outlives the call.
+//! Each worker runs its chunks inside [`serialized`], so a fan-out reached
+//! from inside another one (the shards of a trio cell) runs inline instead
+//! of multiplying the thread count.
 //!
 //! The worker count defaults to the machine parallelism capped at 4 and can
 //! be overridden with the `REVEIL_THREADS` environment variable (clamped to
@@ -12,11 +16,11 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Set while [`serialized`] runs: [`worker_count`] reports 1 on this
-    /// thread, so nested kernel calls never fork their own teams.
+    /// thread, so nested fan-outs run inline.
     static SERIALIZED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -38,15 +42,15 @@ pub fn worker_count() -> usize {
 }
 
 /// Runs `f` with parallelism disabled on the calling thread: every
-/// [`worker_count`]-sized fork inside `f` (GEMM row bands, im2col chunking,
-/// [`join`]) runs inline instead of spawning a team.
+/// [`for_each_chunk`] inside `f` runs its chunks inline instead of
+/// spawning a team.
 ///
-/// This is how a *coarser* parallel layer keeps the machine from
-/// oversubscribing: when work items (e.g. independent experiment cells)
-/// are already fanned out one-per-worker, each worker wraps its item in
-/// `serialized` so the kernels underneath don't multiply the thread count
-/// to `workers²`. Results are unaffected — every kernel in this crate is
-/// bit-identical across worker counts by design.
+/// [`for_each_chunk`] wraps each of its workers in `serialized`, so a
+/// fan-out nested inside another one (SISA shards inside a trio cell that
+/// is itself one of a sweep's cells) never multiplies the thread count to
+/// `workers²`. Results are unaffected: every fanned-out unit derives its
+/// randomness from its own seed, and every kernel runs the same serial
+/// loop on whichever thread calls it.
 ///
 /// The flag is restored when `f` returns or panics (nesting is safe).
 pub fn serialized<R>(f: impl FnOnce() -> R) -> R {
@@ -74,12 +78,14 @@ fn resolve_worker_count(env_value: Option<&str>) -> usize {
         .min(4)
 }
 
-/// Runs `f(start, chunk)` over disjoint mutable chunks of `data`, in
-/// parallel when the input is large enough to amortise thread spawn cost.
+/// Runs `f(start, chunk)` over disjoint mutable chunks of `data`, spread
+/// across [`worker_count`] scoped threads when there is more than one
+/// chunk and more than one worker, and inline otherwise.
 ///
 /// `chunk_len` is the number of elements each call receives (the final chunk
 /// may be shorter). `f` is given the starting element index of its chunk so
-/// callers can recover global positions.
+/// callers can recover global positions. Each spawned worker runs inside
+/// [`serialized`], so fan-outs nested in `f` run inline on that worker.
 ///
 /// # Example
 ///
@@ -107,183 +113,33 @@ where
         return;
     }
 
-    // A chunk awaiting its one-time claim: starting element index plus the
-    // mutable slice itself.
-    type ChunkCell<'a, T> = std::sync::Mutex<Option<(usize, &'a mut [T])>>;
-
-    // Work-stealing by atomic counter over chunk indices: threads grab the
-    // next chunk id, so uneven chunk costs still balance.
+    // Work-stealing by atomic counter over chunk indices: a worker claims
+    // the next chunk id, so uneven chunk costs still balance. Each chunk
+    // (its starting index plus the slice) waits behind its own lock until
+    // the one worker that claimed it takes it.
     let next = AtomicUsize::new(0);
-    let chunks: Vec<(usize, &mut [T])> = data
+    let cells: Vec<_> = data
         .chunks_mut(chunk_len)
         .enumerate()
-        .map(|(i, c)| (i * chunk_len, c))
-        .collect();
-    // Hand ownership of each chunk cell to exactly one thread via indexed
-    // claim; Mutex-free because claims are unique.
-    let cells: Vec<ChunkCell<'_, T>> = chunks
-        .into_iter()
-        .map(|c| std::sync::Mutex::new(Some(c)))
+        .map(|(i, c)| Mutex::new(Some((i * chunk_len, c))))
         .collect();
 
     std::thread::scope(|scope| {
         for _ in 0..workers.min(cells.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let taken = cells[i].lock().expect("chunk mutex poisoned").take();
-                if let Some((start, chunk)) = taken {
-                    f(start, chunk);
-                }
+            scope.spawn(|| {
+                serialized(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= cells.len() {
+                        break;
+                    }
+                    let taken = cells[i].lock().expect("chunk mutex poisoned").take();
+                    if let Some((start, chunk)) = taken {
+                        f(start, chunk);
+                    }
+                })
             });
         }
     });
-}
-
-/// Handle to a fixed team of band workers spawned by [`scoped_bands`].
-///
-/// Workers use [`Team::sync`] as a phase barrier: every member must call it
-/// the same number of times, so data one phase writes (e.g. a shared packed
-/// operand panel) is visible — and no longer mutated — before the next
-/// phase reads it.
-///
-/// Unlike [`std::sync::Barrier`], the barrier is *poisonable*: if a team
-/// member panics, [`scoped_bands`] poisons the barrier before re-raising,
-/// which wakes every member still waiting in `sync` and panics them too.
-/// Without this, a single worker panic would leave its teammates blocked
-/// forever on a barrier that can never fill — a silent hang instead of a
-/// crash with the original panic message.
-pub struct Team {
-    size: usize,
-    state: Mutex<TeamBarrier>,
-    cvar: Condvar,
-}
-
-#[derive(Default)]
-struct TeamBarrier {
-    /// Members currently waiting in this phase.
-    waiting: usize,
-    /// Completed phase count; bumping it releases the waiters.
-    generation: usize,
-    /// Set when a member panicked: the team can never fill again.
-    poisoned: bool,
-}
-
-impl Team {
-    fn new(size: usize) -> Self {
-        Self {
-            size,
-            state: Mutex::new(TeamBarrier::default()),
-            cvar: Condvar::new(),
-        }
-    }
-
-    /// Number of workers in the team (equals the number of bands).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Blocks until every team member has called `sync` for this phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a teammate panicked (the barrier would otherwise never
-    /// fill); the teammate's own unwind carries the original message.
-    pub fn sync(&self) {
-        let mut state = self.state.lock().expect("team barrier lock poisoned");
-        assert!(!state.poisoned, "a team worker panicked; abandoning sync");
-        state.waiting += 1;
-        if state.waiting == self.size {
-            state.waiting = 0;
-            state.generation += 1;
-            self.cvar.notify_all();
-            return;
-        }
-        let generation = state.generation;
-        while state.generation == generation && !state.poisoned {
-            state = self.cvar.wait(state).expect("team barrier lock poisoned");
-        }
-        assert!(!state.poisoned, "a team worker panicked; abandoning sync");
-    }
-
-    /// Marks the team as dead and wakes every waiter (see [`Team::sync`]).
-    fn poison(&self) {
-        let mut state = self.state.lock().expect("team barrier lock poisoned");
-        state.poisoned = true;
-        self.cvar.notify_all();
-    }
-}
-
-/// Splits `data` into fixed-length bands and runs one scoped worker per
-/// band, handing every worker the same shared read-only context.
-///
-/// `f(team, worker, start, band, shared)` receives the team handle (for
-/// barrier phases), the worker id (== band index), the starting element
-/// index of its band, the band itself, and `shared`. Unlike
-/// [`for_each_chunk`] there is no work stealing: each worker owns exactly
-/// one band for the whole call, which lets callers coordinate multi-phase
-/// protocols (cooperatively pack a shared buffer, `sync`, then consume it).
-///
-/// Callers size `band_len` so the band count does not exceed the intended
-/// worker count — one thread is spawned per band. With a single band (or
-/// empty `data`) the closure runs inline on the calling thread.
-pub fn scoped_bands<T, S, F>(data: &mut [T], band_len: usize, shared: &S, f: F)
-where
-    T: Send,
-    S: Sync + ?Sized,
-    F: Fn(&Team, usize, usize, &mut [T], &S) + Sync,
-{
-    let band_len = band_len.max(1);
-    let n_bands = data.len().div_ceil(band_len);
-    let team = Team::new(n_bands.max(1));
-    if n_bands <= 1 {
-        if !data.is_empty() {
-            f(&team, 0, 0, data, shared);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (w, band) in data.chunks_mut(band_len).enumerate() {
-            let team = &team;
-            let f = &f;
-            scope.spawn(move || {
-                // Poison the team barrier before re-raising so teammates
-                // blocked in sync() wake and panic instead of waiting on a
-                // barrier that can never fill.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    f(team, w, w * band_len, band, shared)
-                }));
-                if let Err(payload) = result {
-                    team.poison();
-                    std::panic::resume_unwind(payload);
-                }
-            });
-        }
-    });
-}
-
-/// Runs two closures on separate threads and returns both results.
-///
-/// Useful for forking independent halves of a computation (e.g. the two
-/// matmuls of a backward pass) on the 2-core container.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if worker_count() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        let ra = handle.join().expect("parallel::join worker panicked");
-        (ra, rb)
-    })
 }
 
 #[cfg(test)]
@@ -350,70 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn scoped_bands_covers_every_element_with_shared_context() {
-        let mut v = vec![0u32; 37];
-        let shared = 5u32;
-        scoped_bands(&mut v, 10, &shared, |team, w, start, band, &s| {
-            assert_eq!(team.size(), 4);
-            assert_eq!(start, w * 10);
-            for x in band.iter_mut() {
-                *x = s;
-            }
-        });
-        assert!(v.iter().all(|&x| x == 5));
-    }
-
-    #[test]
-    fn scoped_bands_single_band_runs_inline() {
-        let mut v = vec![0u8; 3];
-        scoped_bands(&mut v, 8, &(), |team, w, start, band, ()| {
-            assert_eq!((team.size(), w, start), (1, 0, 0));
-            band.fill(1);
-        });
-        assert_eq!(v, vec![1, 1, 1]);
-        let mut empty: Vec<u8> = vec![];
-        scoped_bands(&mut empty, 8, &(), |_, _, _, _, ()| panic!("must not run"));
-    }
-
-    #[test]
-    fn scoped_bands_sync_orders_phases() {
-        // Phase 1: each worker writes its own slot of the shared scratch.
-        // Phase 2: each worker reads every slot. Without the barrier this
-        // would race; with it, every read observes every write.
-        use std::sync::atomic::AtomicU32;
-        let slots: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
-        let mut v = vec![0u32; 4];
-        scoped_bands(&mut v, 1, &slots, |team, w, _, band, slots| {
-            slots[w].store(w as u32 + 1, Ordering::Release);
-            team.sync();
-            band[0] = (0..team.size())
-                .map(|i| slots[i].load(Ordering::Acquire))
-                .sum();
-        });
-        assert_eq!(v, vec![10, 10, 10, 10]);
-    }
-
-    #[test]
-    fn scoped_bands_worker_panic_propagates_instead_of_deadlocking() {
-        // One worker dies before the barrier: the rest must be woken and
-        // the panic must reach the caller (previously this hung forever).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut v = vec![0u8; 4];
-            scoped_bands(&mut v, 1, &(), |team, w, _, _, ()| {
-                if w == 2 {
-                    panic!("worker 2 died");
-                }
-                team.sync();
+    fn nested_fan_outs_run_inline_on_their_worker() {
+        let mut outer = vec![false; 8];
+        for_each_chunk(&mut outer, 1, |_, chunk| {
+            let me = std::thread::current().id();
+            let mut inner = vec![None; 4];
+            for_each_chunk(&mut inner, 1, |_, slot| {
+                slot[0] = Some(std::thread::current().id());
             });
-        }));
-        assert!(result.is_err(), "panic must propagate out of scoped_bands");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
+            chunk[0] = inner.iter().all(|&id| id == Some(me));
+        });
+        assert!(outer.iter().all(|&inline| inline));
     }
 
     #[test]

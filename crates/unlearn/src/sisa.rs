@@ -6,7 +6,7 @@ use reveil_core::Classifier;
 use reveil_datasets::LabeledDataset;
 use reveil_nn::train::{TrainConfig, Trainer};
 use reveil_nn::{train, Network};
-use reveil_tensor::{ops, rng, Tensor};
+use reveil_tensor::{ops, parallel, rng, Tensor};
 
 use crate::error::UnlearnError;
 
@@ -126,9 +126,6 @@ struct Shard {
     /// (`checkpoints[0]` is the freshly initialised model). Length
     /// `num_slices`; the final post-training state lives in `model`.
     checkpoints: Vec<Vec<f32>>,
-    /// Seed the shard model was initialised from (kept for diagnostics).
-    #[allow(dead_code)]
-    init_seed: u64,
 }
 
 /// A trained SISA ensemble supporting exact unlearning.
@@ -136,10 +133,14 @@ struct Shard {
 /// See the crate docs for the training/unlearning protocol. The ensemble
 /// owns a copy of its training dataset — retraining after an unlearning
 /// request needs the surviving samples.
+///
+/// Shards are independent models, so training and retraining fan them
+/// across the [`parallel`] worker team (inline when called from inside a
+/// fanned-out worker). Each shard derives its randomness from its own id,
+/// so the ensemble is bit-identical at any worker count.
 pub struct SisaEnsemble {
     config: SisaConfig,
     train_config: TrainConfig,
-    factory: Box<dyn Fn(u64) -> Network + Send>,
     dataset: LabeledDataset,
     shards: Vec<Shard>,
     /// Indices erased so far (for bookkeeping/tests).
@@ -161,9 +162,11 @@ impl SisaEnsemble {
     /// Trains a SISA ensemble on `dataset`.
     ///
     /// `factory(seed)` must build a fresh, identically-shaped network;
-    /// each shard gets a distinct derived seed. `train_config.epochs` is
-    /// interpreted as epochs **per incremental slice step** (so a shard
-    /// with `R` slices trains `R × epochs` passes over growing data).
+    /// each shard gets a distinct derived seed. The factory runs on the
+    /// calling thread; only the built networks cross into the workers that
+    /// train them. `train_config.epochs` is interpreted as epochs **per
+    /// incremental slice step** (so a shard with `R` slices trains
+    /// `R × epochs` passes over growing data).
     ///
     /// # Errors
     ///
@@ -185,19 +188,28 @@ impl SisaEnsemble {
             shard_members[pos % config.num_shards].push(idx);
         }
 
-        let mut ensemble = Self {
+        let mut shards: Vec<Shard> = shard_members
+            .into_iter()
+            .enumerate()
+            .map(|(s, members)| Shard {
+                model: factory(rng::derive_seed(config.seed, 0x5EED_0000 | s as u64)),
+                slice_ends: Self::slice_ends(members.len(), config.num_slices),
+                members,
+                checkpoints: Vec::new(),
+            })
+            .collect();
+        parallel::for_each_chunk(&mut shards, 1, |s, chunk| {
+            for shard in chunk {
+                retrain_shard_from(&config, &train_config, dataset, shard, 0, s as u64);
+            }
+        });
+        Ok(Self {
             config,
             train_config,
-            factory,
             dataset: dataset.clone(),
-            shards: Vec::new(),
+            shards,
             erased: BTreeSet::new(),
-        };
-        for (s, members) in shard_members.into_iter().enumerate() {
-            let shard = ensemble.build_and_train_shard(s as u64, members)?;
-            ensemble.shards.push(shard);
-        }
-        Ok(ensemble)
+        })
     }
 
     /// The ensemble configuration.
@@ -232,73 +244,6 @@ impl SisaEnsemble {
             .collect()
     }
 
-    fn build_and_train_shard(
-        &self,
-        shard_id: u64,
-        members: Vec<usize>,
-    ) -> Result<Shard, UnlearnError> {
-        let init_seed = rng::derive_seed(self.config.seed, 0x5EED_0000 | shard_id);
-        let mut model = (self.factory)(init_seed);
-        let slice_ends = Self::slice_ends(members.len(), self.config.num_slices);
-        let mut shard = Shard {
-            model: (self.factory)(init_seed),
-            members,
-            slice_ends,
-            checkpoints: Vec::new(),
-            init_seed,
-        };
-        // `model` above was only used to exercise the factory eagerly; the
-        // real training happens on shard.model via the shared path.
-        model.zero_grads();
-        self.retrain_shard_from(&mut shard, 0, shard_id)?;
-        Ok(shard)
-    }
-
-    /// (Re)trains a shard's incremental steps `from_step..R`, refreshing
-    /// the checkpoints. Assumes `shard.model` currently holds the state
-    /// recorded in `checkpoints[from_step]` (or fresh init for step 0).
-    /// Returns `(steps_run, sample_visits)`.
-    ///
-    /// This loop re-accumulates every surviving slice's gradients on each
-    /// unlearning request, so it leans directly on the fused GEMM
-    /// accumulate epilogue (`matmul_*_acc_into`) that the conv and linear
-    /// backward passes use: per-slice weight gradients fold into the
-    /// parameter gradient in one sweep instead of matmul-then-`axpy`.
-    fn retrain_shard_from(
-        &self,
-        shard: &mut Shard,
-        from_step: usize,
-        shard_id: u64,
-    ) -> Result<(usize, usize), UnlearnError> {
-        let num_slices = self.config.num_slices;
-        shard.checkpoints.truncate(from_step);
-        let mut steps = 0;
-        let mut visits = 0;
-        for r in from_step..num_slices {
-            shard.checkpoints.push(shard.model.state_vec());
-            let end = shard.slice_ends[r];
-            if end == 0 {
-                steps += 1;
-                continue;
-            }
-            let indices = &shard.members[..end];
-            let images: Vec<Tensor> = indices
-                .iter()
-                .map(|&i| self.dataset.image(i).clone())
-                .collect();
-            let labels: Vec<usize> = indices.iter().map(|&i| self.dataset.label(i)).collect();
-            let mut cfg = self.train_config.clone();
-            cfg.seed = rng::derive_seed(
-                self.train_config.seed,
-                0x7121_0000 | (shard_id << 8) | r as u64,
-            );
-            Trainer::new(cfg).fit(&mut shard.model, &images, &labels);
-            steps += 1;
-            visits += images.len() * self.train_config.epochs;
-        }
-        Ok((steps, visits))
-    }
-
     /// Executes an exact unlearning request: erases the samples at
     /// `remove` (dataset indices) from every shard that holds them, rolling
     /// back to the latest unaffected checkpoint and retraining forward.
@@ -326,8 +271,11 @@ impl SisaEnsemble {
             }
         }
 
-        let mut shards = std::mem::take(&mut self.shards);
-        for (s, shard) in shards.iter_mut().enumerate() {
+        // Roll every affected shard back on this thread, then retrain them
+        // across the worker team: (shard id, first affected step, shard,
+        // (steps, visits) retrained).
+        let mut affected = Vec::new();
+        for (s, shard) in self.shards.iter_mut().enumerate() {
             // Earliest slice containing a removed member.
             let mut first_affected: Option<usize> = None;
             for (pos, idx) in shard.members.iter().enumerate() {
@@ -344,20 +292,27 @@ impl SisaEnsemble {
             let Some(from_step) = first_affected else {
                 continue;
             };
-            report.shards_affected += 1;
 
             // Remove members and recompute slice ends for the survivors.
             shard.members.retain(|idx| !remove.contains(idx));
             shard.slice_ends = Self::slice_ends(shard.members.len(), self.config.num_slices);
 
             // Roll back to the checkpoint before the first affected step.
-            let checkpoint = shard.checkpoints[from_step].clone();
-            shard.model.load_state(&checkpoint)?;
-            let (steps, visits) = self.retrain_shard_from(shard, from_step, s as u64)?;
+            shard.model.load_state(&shard.checkpoints[from_step])?;
+            affected.push((s, from_step, shard, (0, 0)));
+        }
+        let (config, train_config, dataset) = (&self.config, &self.train_config, &self.dataset);
+        parallel::for_each_chunk(&mut affected, 1, |_, chunk| {
+            for (s, from_step, shard, cost) in chunk {
+                *cost =
+                    retrain_shard_from(config, train_config, dataset, shard, *from_step, *s as u64);
+            }
+        });
+        report.shards_affected = affected.len();
+        for (_, _, _, (steps, visits)) in affected {
             report.slices_retrained += steps;
             report.samples_retrained += visits;
         }
-        self.shards = shards;
         self.erased.extend(remove.iter().copied());
         Ok(report)
     }
@@ -400,6 +355,46 @@ impl SisaEnsemble {
             }
         }
     }
+}
+
+/// (Re)trains a shard's incremental steps `from_step..R` on the surviving
+/// members of `dataset`, refreshing the checkpoints. Assumes `shard.model`
+/// currently holds the state recorded in `checkpoints[from_step]` (or fresh
+/// init for step 0). Returns `(steps_run, sample_visits)`.
+///
+/// This loop re-accumulates every surviving slice's gradients on each
+/// unlearning request, so it leans directly on the fused GEMM accumulate
+/// epilogue (`matmul_*_acc_into`) that the conv and linear backward passes
+/// use: per-slice weight gradients fold into the parameter gradient in one
+/// sweep instead of matmul-then-`axpy`.
+fn retrain_shard_from(
+    config: &SisaConfig,
+    train_config: &TrainConfig,
+    dataset: &LabeledDataset,
+    shard: &mut Shard,
+    from_step: usize,
+    shard_id: u64,
+) -> (usize, usize) {
+    shard.checkpoints.truncate(from_step);
+    let mut steps = 0;
+    let mut visits = 0;
+    for r in from_step..config.num_slices {
+        shard.checkpoints.push(shard.model.state_vec());
+        let end = shard.slice_ends[r];
+        if end == 0 {
+            steps += 1;
+            continue;
+        }
+        let indices = &shard.members[..end];
+        let images: Vec<Tensor> = indices.iter().map(|&i| dataset.image(i).clone()).collect();
+        let labels: Vec<usize> = indices.iter().map(|&i| dataset.label(i)).collect();
+        let mut cfg = train_config.clone();
+        cfg.seed = rng::derive_seed(train_config.seed, 0x7121_0000 | (shard_id << 8) | r as u64);
+        Trainer::new(cfg).fit(&mut shard.model, &images, &labels);
+        steps += 1;
+        visits += images.len() * train_config.epochs;
+    }
+    (steps, visits)
 }
 
 impl Classifier for SisaEnsemble {
