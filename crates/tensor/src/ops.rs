@@ -831,35 +831,6 @@ mod tests {
         assert_eq!(matmul_nt(&c, &d).unwrap(), expected);
     }
 
-    /// Each output row accumulates from its own A row in one fixed order,
-    /// so stacking rows (the samples of a batch) never changes a row's
-    /// bits — for every transpose flavour and the accumulate epilogue. The
-    /// shape spans several MC row blocks and ragged NR/KC tails.
-    #[test]
-    fn matmul_rows_are_bit_identical_to_single_row_products() {
-        let (m, k, n) = (256, 101, 129);
-        let a = Tensor::from_fn(&[m, k], |i| ((i * 37 % 11) as f32 - 5.0) * 0.25);
-        let b = Tensor::from_fn(&[k, n], |i| ((i * 53 % 7) as f32 - 3.0) * 0.25);
-        let full = matmul(&a, &b).unwrap();
-        for i in 0..m {
-            let row = t(&[1, k], &a.data()[i * k..(i + 1) * k]);
-            let single = matmul(&row, &b).unwrap();
-            assert_eq!(&full.data()[i * n..(i + 1) * n], single.data(), "row {i}");
-        }
-        assert_eq!(matmul_tn(&transpose(&a).unwrap(), &b).unwrap(), full);
-        assert_eq!(matmul_nt(&a, &transpose(&b).unwrap()).unwrap(), full);
-
-        // beta = 0 overwrites stale NaN; beta = 1 then adds v + v, which is
-        // exact, so the result is bitwise 2·product.
-        let mut acc = Tensor::full(&[m, n], f32::NAN);
-        matmul_acc_into(&a, &b, 0.0, &mut acc).unwrap();
-        assert_eq!(acc, full);
-        matmul_acc_into(&a, &b, 1.0, &mut acc).unwrap();
-        let mut twice = full.clone();
-        twice.scale(2.0);
-        assert_eq!(acc, twice);
-    }
-
     /// Naive triple-loop reference for `A·B` with explicit index maps, used
     /// to validate the packed kernel.
     fn naive_matmul(

@@ -1,11 +1,13 @@
-//! Shared packed-B GEMM under forced multi-threading.
+//! GEMM bit-identity with a 4-worker team configured.
 //!
-//! This integration test runs in its own process so it can pin
-//! `REVEIL_THREADS=4` before the worker count is first resolved (the count
-//! is cached per process). Every test in this file therefore exercises the
-//! parallel path with a 4-worker team cooperatively packing shared B
-//! panels, and checks it is **bit-identical** to the serial packing path —
-//! the same guarantee the per-thread-packing implementation gave.
+//! The file is named after the former shared packed-B parallel GEMM path.
+//! Every kernel is now single-threaded, and these tests pin that the worker
+//! count changes nothing: the integration test runs in its own process, sets
+//! `REVEIL_THREADS=4` before the worker count is first resolved (the count is
+//! cached per process), and checks that each row of a multi-row product is
+//! **bit-identical** to the one-row product of its A row. Each output row
+//! accumulates from its own A row in one fixed order, so stacking rows (the
+//! samples of a batch) must never change a row's bits.
 
 use reveil_tensor::{ops, parallel, Tensor};
 
@@ -24,7 +26,7 @@ fn force_four_workers() {
     );
 }
 
-/// A product big enough to cross the parallelism threshold.
+/// A product spanning several MC row blocks and ragged NR/KC tails.
 const M: usize = 256;
 const K: usize = 101;
 const N: usize = 129;
@@ -37,24 +39,25 @@ fn b_matrix() -> Tensor {
     Tensor::from_fn(&[K, N], |i| ((i * 53 % 7) as f32 - 3.0) * 0.25)
 }
 
+/// Row `i` of `a` as a `[1, k]` matrix.
+fn row(a: &Tensor, i: usize, k: usize) -> Tensor {
+    Tensor::from_vec(vec![1, k], a.data()[i * k..(i + 1) * k].to_vec()).unwrap()
+}
+
 #[test]
 fn shared_pack_matches_serial_pack_bit_for_bit() {
     force_four_workers();
     let a = a_matrix();
     let b = b_matrix();
-    // Parallel path: 4 workers, shared B panels.
-    let fast = ops::matmul(&a, &b).unwrap();
-    // Serial reference: single-row products never fork (the parallel path
-    // requires m > 1), so each one runs the serial per-thread packing path.
-    // Row bands are independent, so row i of the full product must match
-    // the 1-row product exactly — not approximately.
+    let full = ops::matmul(&a, &b).unwrap();
+    // Row i of the full product must match the 1-row product exactly —
+    // not approximately.
     for i in 0..M {
-        let row = Tensor::from_vec(vec![1, K], a.data()[i * K..(i + 1) * K].to_vec()).unwrap();
-        let serial = ops::matmul(&row, &b).unwrap();
+        let single = ops::matmul(&row(&a, i, K), &b).unwrap();
         assert_eq!(
-            &fast.data()[i * N..(i + 1) * N],
-            serial.data(),
-            "row {i}: shared-pack parallel result diverged from serial packing"
+            &full.data()[i * N..(i + 1) * N],
+            single.data(),
+            "row {i}: multi-row product diverged from the single-row product"
         );
     }
 }
@@ -99,8 +102,7 @@ fn accumulate_epilogue_is_exact_on_the_parallel_path() {
         assert_eq!(*twice, 2.0 * once);
     }
 
-    // beta = 0 must fully overwrite stale NaN even when workers split the
-    // output into bands.
+    // beta = 0 must fully overwrite stale NaN in every row block.
     let mut stale = Tensor::full(&[M, N], f32::NAN);
     ops::matmul_acc_into(&a, &b, 0.0, &mut stale).unwrap();
     assert_eq!(stale, product);
@@ -109,17 +111,16 @@ fn accumulate_epilogue_is_exact_on_the_parallel_path() {
 #[test]
 fn odd_band_split_covers_every_row() {
     force_four_workers();
-    // 67 rows over 4 workers: bands of 24/24/19 rows (MR-aligned splits
-    // with a short tail) — the awkward case for band bookkeeping.
+    // 67 rows: eight full MR = 8 row panels plus a 3-row tail — the awkward
+    // case for row-panel bookkeeping.
     let m = 67;
     let k = 64;
     let n = 70;
     let a = Tensor::from_fn(&[m, k], |i| ((i * 23 % 17) as f32 - 8.0) * 0.1);
     let b = Tensor::from_fn(&[k, n], |i| ((i * 31 % 19) as f32 - 9.0) * 0.1);
-    let fast = ops::matmul(&a, &b).unwrap();
+    let full = ops::matmul(&a, &b).unwrap();
     for i in 0..m {
-        let row = Tensor::from_vec(vec![1, k], a.data()[i * k..(i + 1) * k].to_vec()).unwrap();
-        let serial = ops::matmul(&row, &b).unwrap();
-        assert_eq!(&fast.data()[i * n..(i + 1) * n], serial.data(), "row {i}");
+        let single = ops::matmul(&row(&a, i, k), &b).unwrap();
+        assert_eq!(&full.data()[i * n..(i + 1) * n], single.data(), "row {i}");
     }
 }
