@@ -224,6 +224,35 @@ mod tests {
     }
 
     #[test]
+    fn grad_cam_covers_the_model_zoo() {
+        use reveil_nn::models::ModelFamily;
+        let image = Tensor::from_fn(&[3, 8, 8], |i| (i % 13) as f32 / 13.0);
+        for family in [
+            ModelFamily::TinyCnn,
+            ModelFamily::ResNetTiny,
+            ModelFamily::MobileNetTiny,
+            ModelFamily::EffNetTiny,
+            ModelFamily::WideResNetTiny,
+        ] {
+            let mut net = family.build(3, 8, 8, 4, 4, 11);
+            let cam = grad_cam(&mut net, &image, 1).unwrap();
+            assert_eq!(cam.map().shape(), &[8, 8], "{}", family.label());
+            assert!(
+                cam.map().min() >= 0.0 && cam.map().max() <= 1.0,
+                "{}",
+                family.label()
+            );
+            let again = grad_cam(&mut net, &image, 1).unwrap();
+            assert_eq!(cam, again, "{}: repeat call differs", family.label());
+        }
+        let mut mlp = ModelFamily::MlpProbe.build(3, 8, 8, 4, 4, 11);
+        assert!(matches!(
+            grad_cam(&mut mlp, &image, 1),
+            Err(ExplainError::NoSpatialActivation)
+        ));
+    }
+
+    #[test]
     fn attention_concentrates_on_a_learned_trigger() {
         // Train a model whose class 0 is *defined* by a bright corner patch;
         // GradCAM for class 0 on a patched image must put outsized mass on
