@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the reproduction's main design choices:
 //!
 //! * camouflage cell cost (the ReVeil unit of work),
 //! * SISA aggregation rule — mean-probability vs majority-vote inference,

@@ -1,19 +1,19 @@
-//! Audit bench: the pooled defense hot path for all three detectors.
+//! Audit bench: the pooled defense hot path for all three detectors (the
+//! Figs. 6–8 audits on one Smoke bench cell).
 //!
 //! Before the Criterion timings run, a counting global allocator reports
-//! allocations/audit for each defense — once through the allocate-per-call
-//! reference wrapper and once through a warmed pooled auditor — and
-//! asserts the warmed number is exactly zero, so `--bench audit -- --test`
-//! doubles as a zero-allocation smoke gate. The timed groups then measure
-//! steady-state audit latency through the `Defense` trait.
+//! allocations/audit for each warmed auditor and asserts the number is
+//! exactly zero, so `--bench audit -- --test` doubles as a zero-allocation
+//! smoke gate. The timed groups then measure steady-state audit latency
+//! through the `Defense` trait.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use reveil_bench::{bench_cell, defense_inputs, BENCH_PROFILE};
-use reveil_defense::{beatrix, neural_cleanse, strip, AuditInputs, Defense};
+use reveil_bench::{bench_cell, BENCH_PROFILE};
+use reveil_defense::{AuditInputs, Defense};
 
 struct CountingAllocator;
 
@@ -48,45 +48,21 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 fn bench_audit(c: &mut Criterion) {
     let mut cell = bench_cell(5.0, 42);
     let count = BENCH_PROFILE.defense_sample_count();
-    let (clean, suspects) = defense_inputs(&cell, count);
+    let suspects = cell.suspects(count);
     let inputs = AuditInputs::new(&cell.pair.test, &suspects, count);
 
     let strip_auditor = BENCH_PROFILE.strip_auditor(1);
     let nc_auditor = BENCH_PROFILE.neural_cleanse_auditor(1);
     let beatrix_auditor = BENCH_PROFILE.beatrix_auditor();
 
-    let strip_cfg = BENCH_PROFILE.strip_config(1);
-    let nc_cfg = BENCH_PROFILE.neural_cleanse_config(1);
-    let beatrix_cfg = BENCH_PROFILE.beatrix_config();
-
-    // Allocations/audit report: reference wrapper vs warmed pooled auditor.
+    // Allocations/audit of each warmed pooled auditor.
     let net = &mut cell.network;
-    let wrapper_counts = [
-        (
-            "STRIP",
-            allocations_during(|| {
-                black_box(strip(net, &clean, &suspects, &strip_cfg)).ok();
-            }),
-        ),
-        (
-            "Neural Cleanse",
-            allocations_during(|| {
-                black_box(neural_cleanse(net, &clean, &nc_cfg)).ok();
-            }),
-        ),
-        (
-            "Beatrix",
-            allocations_during(|| {
-                black_box(beatrix(net, &cell.pair.test, &suspects, &beatrix_cfg)).ok();
-            }),
-        ),
-    ];
     let panel: [(&str, &dyn Defense); 3] = [
         ("STRIP", &strip_auditor),
         ("Neural Cleanse", &nc_auditor),
         ("Beatrix", &beatrix_auditor),
     ];
-    for ((name, auditor), (_, wrapper)) in panel.into_iter().zip(wrapper_counts) {
+    for (name, auditor) in panel {
         for _ in 0..2 {
             auditor
                 .audit(net, &inputs)
@@ -98,7 +74,7 @@ fn bench_audit(c: &mut Criterion) {
                 .map(black_box)
                 .unwrap_or_else(|e| panic!("{name} audit failed: {e}"));
         });
-        eprintln!("allocations/audit — {name}: wrapper {wrapper}, warmed pooled {pooled}");
+        eprintln!("allocations/audit — {name}: warmed pooled {pooled}");
         assert_eq!(
             pooled, 0,
             "{name}: a warmed-up pooled audit must perform zero heap allocations"

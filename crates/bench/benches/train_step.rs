@@ -2,12 +2,11 @@
 //! optimizer step at Smoke scale, per model family.
 //!
 //! The `train_step` group drives the pooled-buffer substrate
-//! ([`TrainStep`]); `train_step_alloc_per_call` drives the allocating
-//! wrappers (the pre-pooling baseline shape) for comparison. Beyond
-//! wall-clock time, the `train_step_allocs` group reports heap allocations
-//! per warmed-up step (counted by a global counting allocator) — the pooled
-//! path reports zero at any `REVEIL_THREADS`, since every kernel of the
-//! step runs on the calling thread.
+//! ([`TrainStep`]). Beyond wall-clock time, the `train_step_allocs` group
+//! reports heap allocations per warmed-up step (counted by a global
+//! counting allocator) — the pooled path reports zero at any
+//! `REVEIL_THREADS`, since every kernel of the step runs on the calling
+//! thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,10 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Adam, Optimizer};
 use reveil_nn::train::TrainStep;
-use reveil_nn::{models, Mode, Network};
+use reveil_nn::{models, Network};
 use reveil_tensor::{rng, Tensor};
 
 /// Counts heap allocations (`alloc` + `realloc`) so the benches can report
@@ -102,17 +100,6 @@ fn pooled_step(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The same step through the allocate-per-call wrappers (fresh output
-/// tensors every call) — the pre-pooling baseline shape.
-fn alloc_step(net: &mut Network, opt: &mut dyn Optimizer, batch: &Tensor, labels: &[usize]) -> f32 {
-    let logits = net.forward(batch, Mode::Train);
-    let (loss, grad) = softmax_cross_entropy(&logits, labels).unwrap_or_else(|e| panic!("{e}"));
-    net.zero_grads();
-    net.backward_to_input(&grad);
-    opt.step(net);
-    loss
-}
-
 fn bench_train_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("train_step");
     group.sample_size(20);
@@ -126,22 +113,6 @@ fn bench_train_step(c: &mut Criterion) {
         }
         group.bench_function(label, |b| {
             b.iter(|| pooled_step(&mut net, &mut step, &mut opt, black_box(&batch), &labels))
-        });
-    }
-    group.finish();
-}
-
-fn bench_train_step_alloc_per_call(c: &mut Criterion) {
-    let mut group = c.benchmark_group("train_step_alloc_per_call");
-    group.sample_size(20);
-    for (label, mut net, ch, h, w, classes) in families() {
-        let (batch, labels) = smoke_batch(ch, h, w, classes);
-        let mut opt = Adam::new(5e-3).with_weight_decay(1e-4);
-        for _ in 0..3 {
-            alloc_step(&mut net, &mut opt, &batch, &labels);
-        }
-        group.bench_function(label, |b| {
-            b.iter(|| alloc_step(&mut net, &mut opt, black_box(&batch), &labels))
         });
     }
     group.finish();
@@ -172,10 +143,5 @@ fn bench_step_allocations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_train_step,
-    bench_train_step_alloc_per_call,
-    bench_step_allocations
-);
+criterion_group!(benches, bench_train_step, bench_step_allocations);
 criterion_main!(benches);

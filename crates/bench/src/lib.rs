@@ -1,17 +1,17 @@
 //! Shared helpers for the Criterion benchmark suite.
 //!
-//! Each paper table/figure has a matching bench target that measures one
-//! representative cell of the experiment at Smoke scale (training plus
-//! measurement), so `cargo bench` both regenerates the experiment machinery
-//! and tracks its runtime. The full paper-style sweeps live in the
-//! `reveil-eval` binaries (`cargo run --release -p reveil-eval --bin
-//! reveil-experiments`).
+//! Tables I–II and Figs. 2–5 each have a matching bench target that
+//! measures one representative cell of the experiment at Smoke scale
+//! (training plus measurement); the `audit` bench times the three Figs. 6–8
+//! detectors on one such cell. `cargo bench` thus both regenerates the
+//! experiment machinery and tracks its runtime. The full paper-style
+//! sweeps live in the `reveil-eval` binaries (`cargo run --release -p
+//! reveil-eval --bin reveil-experiments`).
 
 #![forbid(unsafe_code)]
 
 use reveil_datasets::DatasetKind;
 use reveil_eval::{Profile, ScenarioSpec, TrainedScenario};
-use reveil_tensor::Tensor;
 use reveil_triggers::TriggerKind;
 
 /// The bench profile (Smoke: roughly a second per training).
@@ -38,18 +38,4 @@ pub fn bench_cell(cr: f32, seed: u64) -> TrainedScenario {
     bench_spec(cr, seed)
         .train()
         .unwrap_or_else(|e| panic!("bench cell training failed: {e}"))
-}
-
-/// Clean holdout + triggered suspects for the defense benches.
-pub fn defense_inputs(cell: &TrainedScenario, count: usize) -> (Vec<Tensor>, Vec<Tensor>) {
-    let clean: Vec<Tensor> = cell
-        .pair
-        .test
-        .images()
-        .iter()
-        .take(count)
-        .cloned()
-        .collect();
-    let (suspects, _) = cell.attack.exploit_set(&cell.pair.test);
-    (clean, suspects.into_iter().take(count).collect())
 }

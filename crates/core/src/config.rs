@@ -23,7 +23,7 @@ pub struct AttackConfig {
     ///
     /// The paper's ratios assume 50k-sample training sets; at the reduced
     /// profile scales a pure ratio can yield single-digit poison counts that
-    /// under-determine the backdoor feature (DESIGN.md §1). The floor keeps
+    /// under-determine the backdoor feature. The floor keeps
     /// the attack in the regime the paper operates in. Set to 0 to disable.
     pub min_poison_count: usize,
 }

@@ -8,7 +8,7 @@
 //! colour gradient; samples are jittered copies (translation, intensity
 //! scaling, pixel noise). The result is a classification task that small
 //! CNNs learn to high benign accuracy — the property the paper's
-//! BA/ASR-delta experiments actually depend on (see DESIGN.md §1).
+//! BA/ASR-delta experiments actually depend on.
 //!
 //! # Example
 //!

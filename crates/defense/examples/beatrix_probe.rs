@@ -1,6 +1,6 @@
 //! Probe Beatrix internals on poisoned vs camouflaged smoke cells.
 
-use reveil_defense::{beatrix, BeatrixConfig};
+use reveil_defense::{AuditInputs, BeatrixAuditor, BeatrixConfig};
 use reveil_eval::{Profile, ScenarioSpec};
 use reveil_tensor::Tensor;
 
@@ -23,7 +23,11 @@ fn main() {
             orders: vec![1, 2],
             samples_per_class: 10,
         };
-        let report = beatrix(&mut cell.network, &cell.pair.test, &suspects, &config)
+        let report = BeatrixAuditor::new(config)
+            .report(
+                &mut cell.network,
+                &AuditInputs::new(&cell.pair.test, &suspects, 20),
+            )
             .expect("Beatrix report");
         println!(
             "cr={cr}: ASR={:.1} index={:.2} med_suspect={:.3} med_clean={:.3}",

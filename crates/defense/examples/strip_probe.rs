@@ -3,7 +3,7 @@
 
 use reveil_core::{AttackConfig, AttackMetrics, ReveilAttack};
 use reveil_datasets::{DatasetKind, SyntheticConfig};
-use reveil_defense::{strip, StripConfig};
+use reveil_defense::{AuditInputs, StripAuditor, StripConfig};
 use reveil_nn::models;
 use reveil_nn::train::{TrainConfig, Trainer};
 use reveil_tensor::Tensor;
@@ -40,9 +40,9 @@ fn main() {
         );
         let metrics = AttackMetrics::measure(&mut net, &pair.test, attack.trigger(), 0);
 
-        let clean_holdout: Vec<Tensor> = pair.test.images().iter().take(30).cloned().collect();
         let (suspects, _) = attack.exploit_set(&pair.test);
         let suspects: Vec<Tensor> = suspects.into_iter().take(30).collect();
+        let inputs = AuditInputs::new(&pair.test, &suspects, 30);
 
         for (blend, frr) in [(0.5f32, 0.01f32), (0.5, 0.05), (0.65, 0.01), (0.65, 0.05)] {
             let cfg = StripConfig {
@@ -51,8 +51,9 @@ fn main() {
                 frr,
                 ..StripConfig::default()
             };
-            let report =
-                strip(&mut net, &clean_holdout, &suspects, &cfg).unwrap_or_else(|e| panic!("{e}"));
+            let report = StripAuditor::new(cfg)
+                .report(&mut net, &inputs)
+                .unwrap_or_else(|e| panic!("{e}"));
             println!(
                 "cr={cr} blend={blend} frr={frr}: [{metrics}] dec={:+.4} H_suspect={:.3} bnd={:.3} H_clean={:.3}",
                 report.decision_value,

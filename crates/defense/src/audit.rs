@@ -4,14 +4,14 @@
 //! input shapes (STRIP wants clean probes + suspects, Neural Cleanse wants
 //! clean probes only, Beatrix wants the labelled clean set + suspects).
 //! This module normalises them behind an object-safe trait so evaluation
-//! scenarios can attach *any* auditor declaratively: each detector's pooled
+//! scenarios can attach *any* auditor declaratively: each detector's
 //! auditor ([`StripAuditor`](crate::StripAuditor),
 //! [`NeuralCleanseAuditor`](crate::NeuralCleanseAuditor),
-//! [`BeatrixAuditor`](crate::BeatrixAuditor)) implements [`Defense`],
-//! consumes the shared [`AuditInputs`] view through its interior scratch
-//! pool — zero heap allocations per audit once warmed up — and reports a
-//! [`DefenseVerdict`] on the common `score` / `threshold` / `detected`
-//! axis the paper's Figs. 6–8 plot.
+//! [`BeatrixAuditor`](crate::BeatrixAuditor)) reads the shared
+//! [`AuditInputs`] view in its `report` method and implements [`Defense`]
+//! by mapping that report onto a [`DefenseVerdict`] on the common
+//! `score` / `threshold` / `detected` axis the paper's Figs. 6–8 plot —
+//! zero heap allocations per audit once warmed up.
 
 use reveil_datasets::LabeledDataset;
 use reveil_nn::Network;

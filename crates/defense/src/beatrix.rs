@@ -1,6 +1,5 @@
 //! Beatrix: Gram-matrix activation statistics (Ma et al., NDSS 2023).
 
-use reveil_datasets::LabeledDataset;
 use reveil_nn::{Mode, Network};
 use reveil_tensor::ops::{argmax_rows_into, softmax_rows_into};
 use reveil_tensor::Tensor;
@@ -67,15 +66,11 @@ struct ClassStats {
 /// Reusable buffers for one Beatrix audit: the stacked calibration /
 /// importance / suspect batches, the pooled spatial-activation copy, the
 /// flat Gram-feature matrices, the class envelopes, the prediction path
-/// tensors, and the statistics scratch.
-///
-/// After one warm-up audit at a given geometry, every subsequent
-/// [`beatrix_with`] call through the same scratch performs **zero heap
-/// allocations** (the audit analogue of the
-/// [`reveil_nn::Layer`](reveil_nn::Layer) buffer-reuse contract), and
-/// reports are bit-identical to the allocating [`beatrix`] wrapper.
+/// tensors, and the statistics scratch. After one warm-up audit at a given
+/// geometry, an audit through the same scratch performs no heap
+/// allocation.
 #[derive(Default)]
-pub struct BeatrixScratch {
+struct BeatrixScratch {
     /// Per-class calibration sample indices into the clean set.
     calib_indices: Vec<usize>,
     /// Labels of the calibration samples, aligned with `calib_indices`.
@@ -127,15 +122,8 @@ pub struct BeatrixScratch {
 }
 
 impl BeatrixScratch {
-    /// Creates an empty scratch; buffers grow on the first audit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total capacity in scalars of every reusable buffer. Stable across
-    /// warmed-up audits — the observable form of the zero-allocation
-    /// contract.
-    pub fn buffer_capacity(&self) -> usize {
+    /// Total capacity in scalars of every reusable buffer.
+    fn buffer_capacity(&self) -> usize {
         self.calib_indices.capacity()
             + self.calib_labels.capacity()
             + self.calib_batch.capacity()
@@ -172,9 +160,7 @@ impl BeatrixScratch {
 ///
 /// Runs one pooled eval-mode backbone forward ([`Network::features_into`])
 /// and probes the layer-boundary buffers newest-first — the final feature
-/// tensor, then the interior boundaries in reverse — for a 4-D activation,
-/// exactly the reversed recorded-activation search of the old recording
-/// path, without cloning every boundary.
+/// tensor, then the interior boundaries in reverse — for a 4-D activation.
 ///
 /// # Errors
 ///
@@ -227,8 +213,8 @@ fn last_spatial_into(
 /// shows any input perturbation — triggered-but-correctly-classified inputs
 /// would flag on *distribution shift*, not backdoor behaviour. Weighting
 /// channels by how much the classification head actually reads them
-/// restores the "as seen by the decision" property the original relies on
-/// (DESIGN.md §1). With no matching head weight every channel gets 1.
+/// restores the "as seen by the decision" property the original relies on.
+/// With no matching head weight every channel gets 1.
 fn channel_importance_into(
     network: &mut Network,
     c: usize,
@@ -308,7 +294,7 @@ fn pair_mask_into(
             products.push(importance[a] * importance[b]);
         }
     }
-    let threshold = stats::median_with(products, sort);
+    let threshold = stats::median(products, sort);
     mask.extend(products.iter().map(|&p| p >= threshold));
 }
 
@@ -390,44 +376,17 @@ fn deviation_with(
             .zip(stats_for_class.med.iter().zip(&stats_for_class.mad))
             .map(|(&v, (&m, &s))| (v - m).abs() / (stats::MAD_CONSISTENCY * s + 1e-6)),
     );
-    stats::median_with(devs, sort)
+    stats::median(devs, sort)
 }
 
-/// Runs Beatrix: builds class-conditional Gram statistics from the clean
-/// labelled set, measures the deviation of the suspect inputs (grouped by
-/// their *predicted* class), and reports the MAD anomaly index.
-///
-/// # Errors
-///
-/// Returns [`DefenseError::EmptyInput`] if `clean` or `suspects` is empty,
-/// [`DefenseError::InvalidConfig`] if the configuration leaves no class
-/// with enough calibration samples for an envelope (or no Gram orders to
-/// measure), and [`DefenseError::Internal`] if the substrate cannot stack
-/// the evidence or the network exposes no attributable activation.
-pub fn beatrix(
+/// Runs Beatrix inside `scratch` (the body of [`BeatrixAuditor::report`]).
+fn run(
     network: &mut Network,
-    clean: &LabeledDataset,
-    suspects: &[Tensor],
-    config: &BeatrixConfig,
-) -> Result<BeatrixReport, DefenseError> {
-    beatrix_with(network, clean, suspects, config, &mut BeatrixScratch::new())
-}
-
-/// [`beatrix`] running inside a caller-provided [`BeatrixScratch`]: zero
-/// heap allocations once the scratch is warmed up, bit-identical report
-/// (the calibration subsampling, the Gram arithmetic, the prediction path
-/// and the statistics are unchanged).
-///
-/// # Errors
-///
-/// Identical to [`beatrix`].
-pub fn beatrix_with(
-    network: &mut Network,
-    clean: &LabeledDataset,
-    suspects: &[Tensor],
+    inputs: &AuditInputs<'_>,
     config: &BeatrixConfig,
     scratch: &mut BeatrixScratch,
 ) -> Result<BeatrixReport, DefenseError> {
+    let (clean, suspects) = (inputs.clean, inputs.suspects);
     if clean.is_empty() {
         return Err(DefenseError::EmptyInput {
             defense: "Beatrix",
@@ -444,6 +403,28 @@ pub fn beatrix_with(
         return Err(DefenseError::InvalidConfig {
             defense: "Beatrix",
             message: "orders must name at least one Gram order".to_string(),
+        });
+    }
+    if config.samples_per_class < 2 {
+        return Err(DefenseError::InvalidConfig {
+            defense: "Beatrix",
+            message: format!(
+                "samples_per_class must be at least 2 (a class envelope needs a \
+                 median and a MAD), got {}",
+                config.samples_per_class
+            ),
+        });
+    }
+    // Envelopes are indexed by the clean labels and looked up by the
+    // network's predictions, so both must span the same classes.
+    if network.num_classes() != clean.num_classes() {
+        return Err(DefenseError::Internal {
+            defense: "Beatrix",
+            message: format!(
+                "the network predicts {} classes but the clean set has {}",
+                network.num_classes(),
+                clean.num_classes()
+            ),
         });
     }
     let BeatrixScratch {
@@ -539,8 +520,8 @@ pub fn beatrix_with(
                     .filter(|&(_, &l)| l == class)
                     .map(|(i, _)| calib_feats[i * feat_dim + d]),
             );
-            stats_c.med.push(stats::median_with(column, sort));
-            stats_c.mad.push(stats::mad_with(column, sort));
+            stats_c.med.push(stats::median(column, sort));
+            stats_c.mad.push(stats::mad(column, sort));
         }
     }
 
@@ -580,13 +561,13 @@ pub fn beatrix_with(
         } else {
             // No envelope for that class: fall back to the global worst
             // clean deviation (conservative).
-            stats::quantile_with(clean_devs, 1.0, sort)
+            stats::quantile(clean_devs, 1.0, sort)
         });
     }
 
-    let median_suspect = stats::median_with(suspect_devs, sort);
-    let median_clean = stats::median_with(clean_devs, sort);
-    let raw_anomaly_index = stats::anomaly_index_with(median_suspect, clean_devs, sort);
+    let median_suspect = stats::median(suspect_devs, sort);
+    let median_clean = stats::median(clean_devs, sort);
+    let raw_anomaly_index = stats::anomaly_index(median_suspect, clean_devs, sort);
 
     // Label concentration of the suspects: a backdoor funnels deviant
     // inputs into one label; benign shift spreads them across classes.
@@ -611,11 +592,10 @@ pub fn beatrix_with(
     })
 }
 
-/// The pooled Beatrix auditor: a [`BeatrixConfig`] plus an interior
-/// [scratch pool](BeatrixScratch) shared across audits, so repeated audits
-/// — including the parallel fig. 8 grid — reuse their buffers and perform
-/// zero heap allocations once warmed up. Verdicts are bit-identical to
-/// auditing through the allocating [`beatrix`] wrapper.
+/// The Beatrix detector: a [`BeatrixConfig`] plus an interior pool of
+/// per-audit scratch buffers shared across audits, so repeated audits —
+/// including the parallel Fig. 8 grid — reuse their buffers and perform
+/// zero heap allocations once warmed up.
 pub struct BeatrixAuditor {
     config: BeatrixConfig,
     pool: ScratchPool<BeatrixScratch>,
@@ -630,9 +610,28 @@ impl BeatrixAuditor {
         }
     }
 
-    /// The wrapped configuration.
-    pub fn config(&self) -> &BeatrixConfig {
-        &self.config
+    /// Runs Beatrix: builds class-conditional Gram statistics from the
+    /// labelled clean set of `inputs` (up to `samples_per_class` per class;
+    /// the clean budget does not apply), measures the deviation of the
+    /// suspect inputs (grouped by their *predicted* class), and reports the
+    /// MAD anomaly index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DefenseError::EmptyInput`] if the clean or suspect set is
+    /// empty, [`DefenseError::InvalidConfig`] if `orders` is empty,
+    /// `samples_per_class` is below 2, or no class has the two calibration
+    /// samples an envelope needs, and [`DefenseError::Internal`] if the
+    /// network's class count differs from the clean set's, the substrate
+    /// cannot stack the evidence, or the network exposes no attributable
+    /// activation.
+    pub fn report(
+        &self,
+        network: &mut Network,
+        inputs: &AuditInputs<'_>,
+    ) -> Result<BeatrixReport, DefenseError> {
+        self.pool
+            .with(|scratch| run(network, inputs, &self.config, scratch))
     }
 }
 
@@ -646,16 +645,7 @@ impl Defense for BeatrixAuditor {
         network: &mut Network,
         inputs: &AuditInputs<'_>,
     ) -> Result<DefenseVerdict, DefenseError> {
-        let mut scratch = self.pool.acquire();
-        let result = beatrix_with(
-            network,
-            inputs.clean,
-            inputs.suspects,
-            &self.config,
-            &mut scratch,
-        );
-        self.pool.release(scratch);
-        let report = result?;
+        let report = self.report(network, inputs)?;
         Ok(DefenseVerdict {
             defense: self.name(),
             score: report.anomaly_index,
@@ -676,6 +666,7 @@ impl Defense for BeatrixAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reveil_datasets::LabeledDataset;
     use reveil_nn::models;
     use reveil_nn::train::{TrainConfig, Trainer};
     use reveil_tensor::rng;
@@ -692,6 +683,17 @@ mod tests {
             ds.push(img, class).unwrap();
         }
         ds
+    }
+
+    /// Audits `net` through a fresh auditor.
+    fn beatrix(
+        net: &mut Network,
+        clean: &LabeledDataset,
+        suspects: &[Tensor],
+        config: &BeatrixConfig,
+    ) -> Result<BeatrixReport, DefenseError> {
+        let inputs = AuditInputs::new(clean, suspects, clean.len());
+        BeatrixAuditor::new(config.clone()).report(net, &inputs)
     }
 
     fn stamp(img: &Tensor) -> Tensor {
@@ -861,5 +863,43 @@ mod tests {
         };
         let err = beatrix(&mut net, &calib, &[Tensor::zeros(&[1, 8, 8])], &config).unwrap_err();
         assert!(matches!(err, DefenseError::InvalidConfig { .. }), "{err}");
+    }
+
+    #[test]
+    fn fewer_than_two_samples_per_class_is_a_config_error() {
+        let mut net = train_model(false);
+        let calib = toy_dataset(10, 5);
+        for samples_per_class in [0, 1] {
+            let config = BeatrixConfig {
+                samples_per_class,
+                ..BeatrixConfig::default()
+            };
+            let err = beatrix(&mut net, &calib, &[Tensor::zeros(&[1, 8, 8])], &config).unwrap_err();
+            assert!(
+                matches!(err, DefenseError::InvalidConfig { .. }),
+                "samples_per_class {samples_per_class}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn class_count_mismatch_is_an_internal_error_not_a_panic() {
+        // A 3-class network audited against a 2-class clean set: with the
+        // class-2 bias pushed up, every suspect is predicted into the class
+        // the clean set has no envelope for.
+        let mut net = models::tiny_cnn(1, 8, 8, 3, 8, 3);
+        net.visit_head_params(&mut |p| {
+            if p.value().ndim() == 1 {
+                p.value_mut().data_mut()[2] = 1e3;
+            }
+        });
+        let calib = toy_dataset(20, 7);
+        let suspects: Vec<Tensor> = calib.images().iter().take(5).map(stamp).collect();
+        let config = BeatrixConfig {
+            orders: vec![1, 2],
+            samples_per_class: 10,
+        };
+        let err = beatrix(&mut net, &calib, &suspects, &config).unwrap_err();
+        assert!(matches!(err, DefenseError::Internal { .. }), "{err}");
     }
 }

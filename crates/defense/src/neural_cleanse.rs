@@ -113,16 +113,11 @@ impl FlatAdam {
 /// Reusable buffers for one Neural Cleanse audit: the optimisation batch,
 /// the per-class mask/pattern variables, the blended inputs, the forward /
 /// backward tensors of the mask-optimisation loop, the Adam moment
-/// vectors, and the statistics sort scratch.
-///
-/// After one warm-up audit at a given input geometry, every subsequent
-/// [`neural_cleanse_with`] call through the same scratch performs **zero
-/// heap allocations** (the audit analogue of the
-/// [`reveil_nn::Layer`](reveil_nn::Layer) buffer-reuse contract), and
-/// outcomes are bit-identical to the allocating [`neural_cleanse`]
-/// wrapper.
+/// vectors, the per-class results, and the statistics sort scratch. After
+/// one warm-up audit at a given input geometry, an audit through the same
+/// scratch performs no heap allocation.
 #[derive(Default)]
-pub struct CleanseScratch {
+struct CleanseScratch {
     /// Sampled calibration indices.
     picks: Vec<usize>,
     /// Stacked optimisation batch `[count, c, h, w]`.
@@ -164,15 +159,8 @@ pub struct CleanseScratch {
 }
 
 impl CleanseScratch {
-    /// Creates an empty scratch; buffers grow on the first audit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total capacity in scalars of every reusable buffer. Stable across
-    /// warmed-up audits — the observable form of the zero-allocation
-    /// contract.
-    pub fn buffer_capacity(&self) -> usize {
+    /// Total capacity in scalars of every reusable buffer.
+    fn buffer_capacity(&self) -> usize {
         self.picks.capacity()
             + self.batch.capacity()
             + self.shape.capacity()
@@ -197,18 +185,6 @@ impl CleanseScratch {
     }
 }
 
-/// The scalar outcome of a Neural Cleanse audit (the full per-class detail
-/// is available through the allocating [`neural_cleanse`] wrapper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CleanseOutcome {
-    /// MAD anomaly index of the smallest-mask class (≥ 2 ⇔ detected).
-    pub anomaly_index: f32,
-    /// The class with the smallest reverse-engineered trigger.
-    pub flagged_class: usize,
-    /// Whether the anomaly index reaches the detection threshold of 2.
-    pub detected: bool,
-}
-
 /// Reverse-engineers a minimal trigger towards `target` on the batch in
 /// `scratch.batch` and returns `(mask_l1, final_loss)`.
 ///
@@ -216,7 +192,7 @@ pub struct CleanseOutcome {
 ///
 /// Returns [`DefenseError::Internal`] if the batch is not `[n, c, h, w]`
 /// or the loss computation rejects the network's logits.
-fn reverse_engineer_with(
+fn reverse_engineer(
     network: &mut Network,
     target: usize,
     config: &NeuralCleanseConfig,
@@ -331,49 +307,17 @@ fn reverse_engineer_with(
     Ok((mask_l1, final_loss))
 }
 
-/// Runs Neural Cleanse over every class of the network.
-///
-/// `clean_samples` supplies the optimisation batch (subsampled to
-/// `config.sample_count`).
-///
-/// # Errors
-///
-/// Returns [`DefenseError::EmptyInput`] if `clean_samples` is empty (the
-/// optimisation batch would be empty and every per-class loss undefined),
-/// [`DefenseError::InvalidConfig`] if `steps` is zero (no trigger is
-/// reverse-engineered, so every mask norm is the random initialisation and
-/// the anomaly index is meaningless), and [`DefenseError::Internal`] for
-/// substrate failures (unstackable samples, a zero-class network).
-pub fn neural_cleanse(
+/// Runs Neural Cleanse inside `scratch` (the body of
+/// [`NeuralCleanseAuditor::report`]). The per-class results stay in
+/// `scratch.per_class` and the returned report's `per_class` is left
+/// empty, so the verdict path allocates nothing.
+fn run(
     network: &mut Network,
-    clean_samples: &[Tensor],
-    config: &NeuralCleanseConfig,
-) -> Result<NeuralCleanseReport, DefenseError> {
-    let mut scratch = CleanseScratch::new();
-    let outcome = neural_cleanse_with(network, clean_samples, config, &mut scratch)?;
-    Ok(NeuralCleanseReport {
-        per_class: scratch.per_class.clone(),
-        anomaly_index: outcome.anomaly_index,
-        flagged_class: outcome.flagged_class,
-        detected: outcome.detected,
-    })
-}
-
-/// [`neural_cleanse`] running inside a caller-provided [`CleanseScratch`]:
-/// zero heap allocations once the scratch is warmed up, bit-identical
-/// outcome (the pattern-initialisation and sample-selection RNG streams,
-/// the optimisation arithmetic and the statistics are unchanged). Returns
-/// the scalar [`CleanseOutcome`]; per-class detail stays in the scratch.
-///
-/// # Errors
-///
-/// Identical to [`neural_cleanse`].
-pub fn neural_cleanse_with(
-    network: &mut Network,
-    clean_samples: &[Tensor],
+    inputs: &AuditInputs<'_>,
     config: &NeuralCleanseConfig,
     scratch: &mut CleanseScratch,
-) -> Result<CleanseOutcome, DefenseError> {
+) -> Result<NeuralCleanseReport, DefenseError> {
+    let clean_samples = inputs.clean_images();
     if clean_samples.is_empty() {
         return Err(DefenseError::EmptyInput {
             defense: "Neural Cleanse",
@@ -399,7 +343,7 @@ pub fn neural_cleanse_with(
     let num_classes = network.num_classes();
     scratch.per_class.clear();
     for class in 0..num_classes {
-        let (mask_l1, loss) = reverse_engineer_with(network, class, config, scratch)?;
+        let (mask_l1, loss) = reverse_engineer(network, class, config, scratch)?;
         scratch.per_class.push(ClassTriggerResult {
             class,
             mask_l1,
@@ -434,22 +378,21 @@ pub fn neural_cleanse_with(
             message: "network reports zero classes".to_string(),
         });
     };
-    let anomaly_index = stats::anomaly_index_with(min_norm, &scratch.norms, &mut scratch.sort);
-    let below_median = min_norm < stats::median_with(&scratch.norms, &mut scratch.sort);
+    let anomaly_index = stats::anomaly_index(min_norm, &scratch.norms, &mut scratch.sort);
+    let below_median = min_norm < stats::median(&scratch.norms, &mut scratch.sort);
 
-    Ok(CleanseOutcome {
+    Ok(NeuralCleanseReport {
+        per_class: Vec::new(),
         anomaly_index,
         flagged_class,
         detected: anomaly_index >= DETECTION_THRESHOLD && below_median,
     })
 }
 
-/// The pooled Neural Cleanse auditor: a [`NeuralCleanseConfig`] plus an
-/// interior [scratch pool](CleanseScratch) shared across audits, so
-/// repeated audits — including the parallel fig. 7 grid — reuse their
-/// buffers and perform zero heap allocations once warmed up. Verdicts are
-/// bit-identical to auditing through the allocating [`neural_cleanse`]
-/// wrapper.
+/// The Neural Cleanse detector: a [`NeuralCleanseConfig`] plus an
+/// interior pool of per-audit scratch buffers shared across audits, so
+/// repeated audits — including the parallel Fig. 7 grid — reuse their
+/// buffers and perform zero heap allocations once warmed up.
 pub struct NeuralCleanseAuditor {
     config: NeuralCleanseConfig,
     pool: ScratchPool<CleanseScratch>,
@@ -464,9 +407,30 @@ impl NeuralCleanseAuditor {
         }
     }
 
-    /// The wrapped configuration.
-    pub fn config(&self) -> &NeuralCleanseConfig {
-        &self.config
+    /// Runs Neural Cleanse over every class of the network, optimising
+    /// each trigger on up to `config.sample_count` of the budgeted clean
+    /// images of `inputs`. Unlike [`Defense::audit`], the report carries
+    /// the per-class results, which it copies out of the pooled scratch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DefenseError::EmptyInput`] if the clean set is empty (the
+    /// optimisation batch would be empty and every per-class loss
+    /// undefined), [`DefenseError::InvalidConfig`] if `steps` is zero (no
+    /// trigger is reverse-engineered, so every mask norm is the random
+    /// initialisation and the anomaly index is meaningless), and
+    /// [`DefenseError::Internal`] for substrate failures (unstackable
+    /// samples, a zero-class network, a diverged optimisation).
+    pub fn report(
+        &self,
+        network: &mut Network,
+        inputs: &AuditInputs<'_>,
+    ) -> Result<NeuralCleanseReport, DefenseError> {
+        self.pool.with(|scratch| {
+            let mut report = run(network, inputs, &self.config, scratch)?;
+            report.per_class = scratch.per_class.clone();
+            Ok(report)
+        })
     }
 }
 
@@ -480,16 +444,14 @@ impl Defense for NeuralCleanseAuditor {
         network: &mut Network,
         inputs: &AuditInputs<'_>,
     ) -> Result<DefenseVerdict, DefenseError> {
-        let mut scratch = self.pool.acquire();
-        let result =
-            neural_cleanse_with(network, inputs.clean_images(), &self.config, &mut scratch);
-        self.pool.release(scratch);
-        let outcome = result?;
+        let report = self
+            .pool
+            .with(|scratch| run(network, inputs, &self.config, scratch))?;
         Ok(DefenseVerdict {
             defense: self.name(),
-            score: outcome.anomaly_index,
+            score: report.anomaly_index,
             threshold: DETECTION_THRESHOLD,
-            detected: outcome.detected,
+            detected: report.detected,
         })
     }
 
@@ -505,23 +467,32 @@ impl Defense for NeuralCleanseAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reveil_datasets::LabeledDataset;
     use reveil_nn::models;
     use reveil_nn::train::{TrainConfig, Trainer};
 
-    fn toy_images(n: usize, seed: u64, classes: usize) -> (Vec<Tensor>, Vec<usize>) {
+    fn toy_dataset(n: usize, seed: u64, classes: usize) -> LabeledDataset {
         let mut r = rng::rng_from_seed(seed);
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
+        let mut ds = LabeledDataset::new("toy", classes);
         for i in 0..n {
             let class = i % classes;
             let level = 0.15 + 0.7 * class as f32 / (classes - 1).max(1) as f32;
             let mut img = Tensor::full(&[1, 8, 8], level);
             rng::fill_gaussian(&mut img, level, 0.04, &mut r);
             img.clamp_inplace(0.0, 1.0);
-            images.push(img);
-            labels.push(class);
+            ds.push(img, class).unwrap();
         }
-        (images, labels)
+        ds
+    }
+
+    /// Audits `net` through a fresh auditor, calibrating on all of `clean`.
+    fn neural_cleanse(
+        net: &mut Network,
+        clean: &LabeledDataset,
+        config: &NeuralCleanseConfig,
+    ) -> Result<NeuralCleanseReport, DefenseError> {
+        let inputs = AuditInputs::new(clean, &[], clean.len());
+        NeuralCleanseAuditor::new(config.clone()).report(net, &inputs)
     }
 
     fn stamp(img: &Tensor) -> Tensor {
@@ -533,11 +504,12 @@ mod tests {
     }
 
     fn train_model(backdoored: bool, classes: usize) -> Network {
-        let (mut images, mut labels) = toy_images(90, 1, classes);
+        let data = toy_dataset(90, 1, classes);
+        let mut images = data.images().to_vec();
+        let mut labels = data.labels().to_vec();
         if backdoored {
-            let (extra, _) = toy_images(30, 2, classes);
-            for img in extra {
-                images.push(stamp(&img));
+            for img in toy_dataset(30, 2, classes).images() {
+                images.push(stamp(img));
                 labels.push(0);
             }
         }
@@ -550,7 +522,7 @@ mod tests {
     #[test]
     fn backdoored_target_class_has_the_smallest_mask() {
         let mut net = train_model(true, 3);
-        let (clean, _) = toy_images(24, 5, 3);
+        let clean = toy_dataset(24, 5, 3);
         let config = NeuralCleanseConfig {
             steps: 50,
             ..NeuralCleanseConfig::default()
@@ -566,7 +538,7 @@ mod tests {
 
     #[test]
     fn anomaly_index_orders_backdoored_above_clean() {
-        let (clean, _) = toy_images(24, 7, 3);
+        let clean = toy_dataset(24, 7, 3);
         let config = NeuralCleanseConfig {
             steps: 50,
             ..NeuralCleanseConfig::default()
@@ -586,15 +558,17 @@ mod tests {
     #[test]
     fn reverse_engineering_reduces_loss() {
         let mut net = train_model(true, 3);
-        let (clean, _) = toy_images(12, 9, 3);
+        let clean = toy_dataset(12, 9, 3);
         let cfg = NeuralCleanseConfig {
             steps: 40,
             ..NeuralCleanseConfig::default()
         };
-        let mut scratch = CleanseScratch::new();
-        scratch.batch = Tensor::stack(&clean).unwrap();
+        let mut scratch = CleanseScratch {
+            batch: Tensor::stack(clean.images()).unwrap(),
+            ..CleanseScratch::default()
+        };
         let (_, loss) =
-            reverse_engineer_with(&mut net, 0, &cfg, &mut scratch).expect("reverse engineering");
+            reverse_engineer(&mut net, 0, &cfg, &mut scratch).expect("reverse engineering");
         // Loss towards the backdoor class must drop well below ln(3).
         assert!(loss < (3.0f32).ln() * 0.8, "final loss {loss}");
     }
@@ -602,7 +576,7 @@ mod tests {
     #[test]
     fn report_is_deterministic_in_the_seed() {
         let mut net = train_model(true, 3);
-        let (clean, _) = toy_images(16, 11, 3);
+        let clean = toy_dataset(16, 11, 3);
         let cfg = NeuralCleanseConfig {
             steps: 20,
             ..NeuralCleanseConfig::default()
@@ -615,7 +589,8 @@ mod tests {
     #[test]
     fn empty_clean_set_is_an_error() {
         let mut net = train_model(false, 2);
-        let err = neural_cleanse(&mut net, &[], &NeuralCleanseConfig::default()).unwrap_err();
+        let empty = LabeledDataset::new("empty", 2);
+        let err = neural_cleanse(&mut net, &empty, &NeuralCleanseConfig::default()).unwrap_err();
         assert_eq!(
             err,
             DefenseError::EmptyInput {
@@ -628,12 +603,13 @@ mod tests {
     #[test]
     fn zero_steps_is_a_config_error() {
         let mut net = train_model(false, 2);
-        let probe = Tensor::zeros(&[1, 8, 8]);
+        let mut probe = LabeledDataset::new("probe", 2);
+        probe.push(Tensor::zeros(&[1, 8, 8]), 0).unwrap();
         let config = NeuralCleanseConfig {
             steps: 0,
             ..NeuralCleanseConfig::default()
         };
-        let err = neural_cleanse(&mut net, std::slice::from_ref(&probe), &config).unwrap_err();
+        let err = neural_cleanse(&mut net, &probe, &config).unwrap_err();
         assert!(matches!(err, DefenseError::InvalidConfig { .. }), "{err}");
     }
 }

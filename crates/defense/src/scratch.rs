@@ -28,21 +28,21 @@ impl<T: Default> ScratchPool<T> {
         }
     }
 
-    /// Pops a warmed scratch value, or creates a fresh one if none is free.
-    pub(crate) fn acquire(&self) -> T {
-        self.slots
+    /// Runs `f` on a warmed scratch value popped from the pool (a fresh one
+    /// only if none is free) and pushes the value back afterwards.
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let mut scratch = self
+            .slots
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a scratch value to the pool for the next audit.
-    pub(crate) fn release(&self, scratch: T) {
+            .unwrap_or_default();
+        let result = f(&mut scratch);
         self.slots
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(scratch);
+        result
     }
 
     /// Drops every pooled scratch value (they re-grow on the next audit).

@@ -1,13 +1,11 @@
 //! Robust statistics shared by the defenses: median, MAD, and the
 //! MAD-based anomaly index used by Neural Cleanse and Beatrix.
 //!
-//! Every statistic comes in two spellings: an allocating one (`median`,
-//! `mad`, `anomaly_index`, `quantile`) and a `*_with` variant that sorts
-//! inside a caller-provided scratch vector. The `*_with` variants perform
-//! no heap allocations once the scratch has grown to the population size
-//! (they sort with `sort_unstable_by`, which is in-place; `total_cmp` is a
-//! total order, so the sorted sequence — and therefore every statistic —
-//! is bit-identical between the two spellings).
+//! Every statistic sorts inside a caller-provided scratch vector, so it
+//! performs no heap allocation once the scratch has grown to the
+//! population size (`sort_unstable_by` sorts in place, and `total_cmp` is
+//! a total order, so the sorted sequence — and every statistic — is
+//! deterministic).
 
 /// Sorts `scratch` in place and returns its median.
 fn sorted_median(scratch: &mut [f32]) -> f32 {
@@ -20,53 +18,38 @@ fn sorted_median(scratch: &mut [f32]) -> f32 {
     }
 }
 
-/// Median of a slice (mean of the two central elements for even lengths).
+/// Median of a slice (mean of the two central elements for even lengths),
+/// sorted inside `scratch`.
 ///
 /// # Panics
 ///
 /// Panics if `values` is empty.
-pub fn median(values: &[f32]) -> f32 {
-    median_with(values, &mut Vec::new())
-}
-
-/// [`median`] sorting inside `scratch` instead of allocating a copy.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn median_with(values: &[f32], scratch: &mut Vec<f32>) -> f32 {
+pub(crate) fn median(values: &[f32], scratch: &mut Vec<f32>) -> f32 {
     assert!(!values.is_empty(), "median of an empty slice");
     scratch.clear();
     scratch.extend_from_slice(values);
     sorted_median(scratch)
 }
 
-/// Median absolute deviation (not yet scaled for normal consistency).
+/// Median absolute deviation (not yet scaled for normal consistency),
+/// computing both medians inside `scratch`.
 ///
 /// # Panics
 ///
 /// Panics if `values` is empty.
-pub fn mad(values: &[f32]) -> f32 {
-    mad_with(values, &mut Vec::new())
-}
-
-/// [`mad`] computing both medians inside `scratch`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn mad_with(values: &[f32], scratch: &mut Vec<f32>) -> f32 {
-    let med = median_with(values, scratch);
+pub(crate) fn mad(values: &[f32], scratch: &mut Vec<f32>) -> f32 {
+    let med = median(values, scratch);
     scratch.clear();
     scratch.extend(values.iter().map(|v| (v - med).abs()));
     sorted_median(scratch)
 }
 
 /// Normal-consistency constant for the MAD (`σ ≈ 1.4826 · MAD`).
-pub const MAD_CONSISTENCY: f32 = 1.4826;
+pub(crate) const MAD_CONSISTENCY: f32 = 1.4826;
 
 /// MAD-based anomaly index of `value` within the population `values`:
-/// `|value − median| / (1.4826 · MAD)`.
+/// `|value − median| / (1.4826 · MAD)`, computing its medians inside
+/// `scratch`.
 ///
 /// Returns 0 when the population has zero spread and `value` equals the
 /// median, and a large finite index when the spread is zero but the value
@@ -75,18 +58,9 @@ pub const MAD_CONSISTENCY: f32 = 1.4826;
 /// # Panics
 ///
 /// Panics if `values` is empty.
-pub fn anomaly_index(value: f32, values: &[f32]) -> f32 {
-    anomaly_index_with(value, values, &mut Vec::new())
-}
-
-/// [`anomaly_index`] computing its medians inside `scratch`.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-pub fn anomaly_index_with(value: f32, values: &[f32], scratch: &mut Vec<f32>) -> f32 {
-    let med = median_with(values, scratch);
-    let spread = MAD_CONSISTENCY * mad_with(values, scratch);
+pub(crate) fn anomaly_index(value: f32, values: &[f32], scratch: &mut Vec<f32>) -> f32 {
+    let med = median(values, scratch);
+    let spread = MAD_CONSISTENCY * mad(values, scratch);
     let dev = (value - med).abs();
     if spread > 1e-12 {
         dev / spread
@@ -97,21 +71,13 @@ pub fn anomaly_index_with(value: f32, values: &[f32], scratch: &mut Vec<f32>) ->
     }
 }
 
-/// `q`-quantile (linear interpolation) of a slice, `q ∈ [0, 1]`.
+/// `q`-quantile (linear interpolation) of a slice, `q ∈ [0, 1]`, sorted
+/// inside `scratch`.
 ///
 /// # Panics
 ///
 /// Panics if `values` is empty or `q` is outside `[0, 1]`.
-pub fn quantile(values: &[f32], q: f32) -> f32 {
-    quantile_with(values, q, &mut Vec::new())
-}
-
-/// [`quantile`] sorting inside `scratch` instead of allocating a copy.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or `q` is outside `[0, 1]`.
-pub fn quantile_with(values: &[f32], q: f32, scratch: &mut Vec<f32>) -> f32 {
+pub(crate) fn quantile(values: &[f32], q: f32, scratch: &mut Vec<f32>) -> f32 {
     assert!(!values.is_empty(), "quantile of an empty slice");
     assert!(
         (0.0..=1.0).contains(&q),
@@ -133,59 +99,51 @@ mod tests {
 
     #[test]
     fn median_odd_and_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert_eq!(median(&[5.0]), 5.0);
+        let s = &mut Vec::new();
+        assert_eq!(median(&[3.0, 1.0, 2.0], s), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0], s), 2.5);
+        assert_eq!(median(&[5.0], s), 5.0);
     }
 
     #[test]
     fn mad_of_symmetric_data() {
-        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 5.0]), 1.0);
-        assert_eq!(mad(&[7.0, 7.0, 7.0]), 0.0);
+        let s = &mut Vec::new();
+        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 5.0], s), 1.0);
+        assert_eq!(mad(&[7.0, 7.0, 7.0], s), 0.0);
     }
 
     #[test]
     fn anomaly_index_flags_outliers() {
+        let s = &mut Vec::new();
         let pop = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02];
-        assert!(anomaly_index(1.0, &pop) < 1.0);
+        assert!(anomaly_index(1.0, &pop, s) < 1.0);
         assert!(
-            anomaly_index(3.0, &pop) > 2.0,
+            anomaly_index(3.0, &pop, s) > 2.0,
             "clear outlier must exceed threshold"
         );
     }
 
     #[test]
     fn anomaly_index_degenerate_population() {
+        let s = &mut Vec::new();
         let pop = [2.0, 2.0, 2.0];
-        assert_eq!(anomaly_index(2.0, &pop), 0.0);
-        assert!(anomaly_index(5.0, &pop) > 100.0);
+        assert_eq!(anomaly_index(2.0, &pop, s), 0.0);
+        assert!(anomaly_index(5.0, &pop, s) > 100.0);
     }
 
     #[test]
     fn quantile_endpoints_and_interpolation() {
+        let s = &mut Vec::new();
         let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(quantile(&v, 0.0), 10.0);
-        assert_eq!(quantile(&v, 1.0), 40.0);
-        assert_eq!(quantile(&v, 0.5), 25.0);
-        assert!((quantile(&v, 0.01) - 10.3).abs() < 1e-4);
-    }
-
-    #[test]
-    fn with_variants_match_allocating_ones() {
-        let v = [0.3f32, -1.5, 2.25, 0.3, 9.0, -0.0, 4.5];
-        let mut scratch = Vec::new();
-        assert_eq!(median(&v), median_with(&v, &mut scratch));
-        assert_eq!(mad(&v), mad_with(&v, &mut scratch));
-        assert_eq!(
-            anomaly_index(4.0, &v),
-            anomaly_index_with(4.0, &v, &mut scratch)
-        );
-        assert_eq!(quantile(&v, 0.37), quantile_with(&v, 0.37, &mut scratch));
+        assert_eq!(quantile(&v, 0.0, s), 10.0);
+        assert_eq!(quantile(&v, 1.0, s), 40.0);
+        assert_eq!(quantile(&v, 0.5, s), 25.0);
+        assert!((quantile(&v, 0.01, s) - 10.3).abs() < 1e-4);
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn median_empty_panics() {
-        median(&[]);
+        median(&[], &mut Vec::new());
     }
 }

@@ -67,15 +67,10 @@ pub struct StripReport {
 
 /// Reusable buffers for one STRIP audit: the stacked blend batch, the
 /// forward logits/probability tensors, entropy rows, and the statistics
-/// sort scratch.
-///
-/// After one warm-up audit at a given input geometry, every subsequent
-/// [`strip_with`] call through the same scratch performs **zero heap
-/// allocations** (the audit analogue of the
-/// [`reveil_nn::Layer`](reveil_nn::Layer) buffer-reuse contract), and
-/// verdicts are bit-identical to the allocating [`strip`] wrapper.
+/// sort scratch. After one warm-up audit at a given input geometry, an
+/// audit through the same scratch performs no heap allocation.
 #[derive(Default)]
-pub struct StripScratch {
+struct StripScratch {
     /// Stacked blend batch `[num_overlays, ...sample]`.
     batch: Tensor,
     /// Forward logits of the blend batch.
@@ -95,15 +90,8 @@ pub struct StripScratch {
 }
 
 impl StripScratch {
-    /// Creates an empty scratch; buffers grow on the first audit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total capacity in scalars of every reusable buffer. Stable across
-    /// warmed-up audits — the observable form of the zero-allocation
-    /// contract.
-    pub fn buffer_capacity(&self) -> usize {
+    /// Total capacity in scalars of every reusable buffer.
+    fn buffer_capacity(&self) -> usize {
         self.batch.capacity()
             + self.logits.capacity()
             + self.probs.capacity()
@@ -171,52 +159,14 @@ impl StripScratch {
     }
 }
 
-/// Runs STRIP: calibrates the entropy boundary on `clean_holdout`, measures
-/// the perturbation entropy of `suspects` (typically trigger-embedded
-/// inputs), and reports the decision value.
-///
-/// # Errors
-///
-/// Returns [`DefenseError::EmptyInput`] if either input set is empty and
-/// [`DefenseError::InvalidConfig`] if `num_overlays` is zero (the empty /
-/// zero cases previously flowed into divisions by zero whose NaN quietly
-/// poisoned the mean-entropy, boundary and flagged-fraction fields of the
-/// report, and every evaluation table built from them), if `frr` is not a
-/// probability in `[0, 1]` (previously an assert deep inside the quantile
-/// calculation aborted mid-evaluation), or if `detection_far` or `blend`
-/// is not a fraction in `[0, 1]` (a NaN in either would silently yield a
-/// garbage decision value reported as "not detected").
-/// [`DefenseError::Internal`] reports substrate failures (an overlay whose
-/// shape disagrees with the audited inputs) instead of panicking.
-pub fn strip(
+/// Runs STRIP inside `scratch` (the body of [`StripAuditor::report`]).
+fn run(
     network: &mut Network,
-    clean_holdout: &[Tensor],
-    suspects: &[Tensor],
-    config: &StripConfig,
-) -> Result<StripReport, DefenseError> {
-    strip_with(
-        network,
-        clean_holdout,
-        suspects,
-        config,
-        &mut StripScratch::new(),
-    )
-}
-
-/// [`strip`] running inside a caller-provided [`StripScratch`]: zero heap
-/// allocations once the scratch is warmed up, bit-identical report (the
-/// overlay RNG stream, blend arithmetic and statistics are unchanged).
-///
-/// # Errors
-///
-/// Identical to [`strip`].
-pub fn strip_with(
-    network: &mut Network,
-    clean_holdout: &[Tensor],
-    suspects: &[Tensor],
+    inputs: &AuditInputs<'_>,
     config: &StripConfig,
     scratch: &mut StripScratch,
 ) -> Result<StripReport, DefenseError> {
+    let (clean_holdout, suspects) = (inputs.clean_images(), inputs.suspects);
     if clean_holdout.is_empty() {
         return Err(DefenseError::EmptyInput {
             defense: "STRIP",
@@ -284,7 +234,7 @@ pub fn strip_with(
         scratch.suspect_entropies.push(h);
     }
 
-    let boundary = stats::quantile_with(&scratch.clean_entropies, config.frr, &mut scratch.sort);
+    let boundary = stats::quantile(&scratch.clean_entropies, config.frr, &mut scratch.sort);
     let flagged = scratch
         .suspect_entropies
         .iter()
@@ -299,16 +249,15 @@ pub fn strip_with(
         boundary,
         mean_clean_entropy: scratch.clean_entropies.iter().sum::<f32>()
             / scratch.clean_entropies.len() as f32,
-        median_suspect_entropy: stats::median_with(&scratch.suspect_entropies, &mut scratch.sort),
+        median_suspect_entropy: stats::median(&scratch.suspect_entropies, &mut scratch.sort),
         detected: decision_value > 0.0,
     })
 }
 
-/// The pooled STRIP auditor: a [`StripConfig`] plus an interior
-/// [scratch pool](StripScratch) shared across audits, so repeated audits —
-/// including the parallel fig. 6 grid — reuse their buffers and perform
-/// zero heap allocations once warmed up. Verdicts are bit-identical to
-/// auditing through the allocating [`strip`] wrapper.
+/// The STRIP detector: a [`StripConfig`] plus an interior pool of
+/// per-audit scratch buffers shared across audits, so repeated audits —
+/// including the parallel Fig. 6 grid — reuse their buffers and perform
+/// zero heap allocations once warmed up.
 pub struct StripAuditor {
     config: StripConfig,
     pool: ScratchPool<StripScratch>,
@@ -323,9 +272,26 @@ impl StripAuditor {
         }
     }
 
-    /// The wrapped configuration.
-    pub fn config(&self) -> &StripConfig {
-        &self.config
+    /// Runs STRIP: calibrates the entropy boundary on the budgeted clean
+    /// images of `inputs`, measures the perturbation entropy of its
+    /// suspects (typically trigger-embedded inputs), and reports the
+    /// decision value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DefenseError::EmptyInput`] if either input set is empty,
+    /// [`DefenseError::InvalidConfig`] if `num_overlays` is zero or `frr`,
+    /// `detection_far` or `blend` lies outside `[0, 1]` (each would
+    /// otherwise yield a NaN or meaningless decision value), and
+    /// [`DefenseError::Internal`] if an overlay's shape disagrees with the
+    /// audited inputs or the model's predictions are not finite.
+    pub fn report(
+        &self,
+        network: &mut Network,
+        inputs: &AuditInputs<'_>,
+    ) -> Result<StripReport, DefenseError> {
+        self.pool
+            .with(|scratch| run(network, inputs, &self.config, scratch))
     }
 }
 
@@ -339,16 +305,7 @@ impl Defense for StripAuditor {
         network: &mut Network,
         inputs: &AuditInputs<'_>,
     ) -> Result<DefenseVerdict, DefenseError> {
-        let mut scratch = self.pool.acquire();
-        let result = strip_with(
-            network,
-            inputs.clean_images(),
-            inputs.suspects,
-            &self.config,
-            &mut scratch,
-        );
-        self.pool.release(scratch);
-        let report = result?;
+        let report = self.report(network, inputs)?;
         Ok(DefenseVerdict {
             defense: self.name(),
             score: report.decision_value,
@@ -369,16 +326,16 @@ impl Defense for StripAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reveil_datasets::LabeledDataset;
     use reveil_nn::models;
     use reveil_nn::train::{TrainConfig, Trainer};
 
     /// Six-class texture task on 12×12 images — heterogeneous enough that
     /// clean superpositions are genuinely ambiguous (the regime STRIP
     /// assumes).
-    fn toy_images(n: usize, seed: u64) -> (Vec<Tensor>, Vec<usize>) {
+    fn toy_dataset(n: usize, seed: u64) -> LabeledDataset {
         let mut r = rng::rng_from_seed(seed);
-        let mut images = Vec::new();
-        let mut labels = Vec::new();
+        let mut ds = LabeledDataset::new("toy", 6);
         for i in 0..n {
             let class = i % 6;
             let phase = class as f32 * 0.7;
@@ -390,10 +347,27 @@ mod tests {
             let noise = rng::gaussian_like(&[1, 12, 12], 0.04, &mut r);
             img += &noise;
             img.clamp_inplace(0.0, 1.0);
-            images.push(img);
-            labels.push(class);
+            ds.push(img, class).unwrap();
         }
-        (images, labels)
+        ds
+    }
+
+    /// One all-zero probe image, as a one-sample clean set.
+    fn probe_set() -> LabeledDataset {
+        let mut ds = LabeledDataset::new("probe", 6);
+        ds.push(Tensor::zeros(&[1, 12, 12]), 0).unwrap();
+        ds
+    }
+
+    /// Audits `net` through a fresh auditor, calibrating on all of `clean`.
+    fn strip(
+        net: &mut Network,
+        clean: &LabeledDataset,
+        suspects: &[Tensor],
+        config: &StripConfig,
+    ) -> Result<StripReport, DefenseError> {
+        let inputs = AuditInputs::new(clean, suspects, clean.len());
+        StripAuditor::new(config.clone()).report(net, &inputs)
     }
 
     fn stamp(img: &Tensor) -> Tensor {
@@ -407,11 +381,12 @@ mod tests {
     }
 
     fn train_model(backdoored: bool) -> Network {
-        let (mut images, mut labels) = toy_images(180, 1);
+        let data = toy_dataset(180, 1);
+        let mut images = data.images().to_vec();
+        let mut labels = data.labels().to_vec();
         if backdoored {
-            let (extra, _) = toy_images(36, 2);
-            for img in extra {
-                images.push(stamp(&img));
+            for img in toy_dataset(36, 2).images() {
+                images.push(stamp(img));
                 labels.push(0);
             }
         }
@@ -423,8 +398,8 @@ mod tests {
 
     #[test]
     fn backdoored_model_scores_above_clean_model() {
-        let (clean, _) = toy_images(30, 5);
-        let suspects: Vec<Tensor> = clean.iter().map(stamp).collect();
+        let clean = toy_dataset(30, 5);
+        let suspects: Vec<Tensor> = clean.images().iter().map(stamp).collect();
         let config = StripConfig {
             num_overlays: 12,
             ..StripConfig::default()
@@ -446,7 +421,7 @@ mod tests {
 
     #[test]
     fn clean_suspects_are_not_flagged() {
-        let (clean, _) = toy_images(30, 7);
+        let clean = toy_dataset(30, 7);
         let mut net = train_model(true);
         let config = StripConfig {
             num_overlays: 12,
@@ -454,8 +429,8 @@ mod tests {
         };
         // Suspects ARE clean images drawn from the same distribution: the
         // flagged fraction stays near the FRR, far below detection.
-        let (other_clean, _) = toy_images(30, 8);
-        let report = strip(&mut net, &clean, &other_clean, &config).unwrap();
+        let other_clean = toy_dataset(30, 8);
+        let report = strip(&mut net, &clean, other_clean.images(), &config).unwrap();
         assert!(
             report.flagged_fraction <= 2.0 * config.frr + 0.1,
             "clean inputs must not be flagged in bulk: {}",
@@ -466,8 +441,8 @@ mod tests {
 
     #[test]
     fn report_fields_are_consistent() {
-        let (clean, _) = toy_images(24, 9);
-        let suspects: Vec<Tensor> = clean.iter().map(stamp).collect();
+        let clean = toy_dataset(24, 9);
+        let suspects: Vec<Tensor> = clean.images().iter().map(stamp).collect();
         let mut net = train_model(true);
         let config = StripConfig::default();
         let report = strip(&mut net, &clean, &suspects, &config).unwrap();
@@ -483,8 +458,8 @@ mod tests {
 
     #[test]
     fn strip_is_deterministic_in_the_seed() {
-        let (clean, _) = toy_images(16, 11);
-        let suspects: Vec<Tensor> = clean.iter().map(stamp).collect();
+        let clean = toy_dataset(16, 11);
+        let suspects: Vec<Tensor> = clean.images().iter().map(stamp).collect();
         let mut net = train_model(false);
         let config = StripConfig::default();
         let a = strip(&mut net, &clean, &suspects, &config).unwrap();
@@ -495,10 +470,11 @@ mod tests {
     #[test]
     fn empty_input_sets_are_errors_not_nan() {
         let mut net = train_model(false);
-        let probe = Tensor::zeros(&[1, 12, 12]);
+        let probe = probe_set();
         let config = StripConfig::default();
 
-        let err = strip(&mut net, &[], std::slice::from_ref(&probe), &config).unwrap_err();
+        let empty = LabeledDataset::new("empty", 6);
+        let err = strip(&mut net, &empty, probe.images(), &config).unwrap_err();
         assert_eq!(
             err,
             DefenseError::EmptyInput {
@@ -509,7 +485,7 @@ mod tests {
 
         // The regression this guards: an empty suspect set used to divide
         // 0 / 0 into a NaN flagged_fraction and a NaN decision value.
-        let err = strip(&mut net, std::slice::from_ref(&probe), &[], &config).unwrap_err();
+        let err = strip(&mut net, &probe, &[], &config).unwrap_err();
         assert_eq!(
             err,
             DefenseError::EmptyInput {
@@ -522,37 +498,25 @@ mod tests {
     #[test]
     fn zero_overlays_is_a_config_error() {
         let mut net = train_model(false);
-        let probe = Tensor::zeros(&[1, 12, 12]);
+        let probe = probe_set();
         let config = StripConfig {
             num_overlays: 0,
             ..StripConfig::default()
         };
-        let err = strip(
-            &mut net,
-            std::slice::from_ref(&probe),
-            std::slice::from_ref(&probe),
-            &config,
-        )
-        .unwrap_err();
+        let err = strip(&mut net, &probe, probe.images(), &config).unwrap_err();
         assert!(matches!(err, DefenseError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]
     fn nan_detection_far_is_a_config_error_not_a_nan_verdict() {
         let mut net = train_model(false);
-        let probe = Tensor::zeros(&[1, 12, 12]);
+        let probe = probe_set();
         for detection_far in [-0.5f32, 2.0, f32::NAN] {
             let config = StripConfig {
                 detection_far,
                 ..StripConfig::default()
             };
-            let err = strip(
-                &mut net,
-                std::slice::from_ref(&probe),
-                std::slice::from_ref(&probe),
-                &config,
-            )
-            .unwrap_err();
+            let err = strip(&mut net, &probe, probe.images(), &config).unwrap_err();
             assert!(
                 matches!(err, DefenseError::InvalidConfig { .. }),
                 "detection_far {detection_far}: {err}"
@@ -563,19 +527,13 @@ mod tests {
     #[test]
     fn nan_blend_is_a_config_error_not_a_zero_entropy_verdict() {
         let mut net = train_model(false);
-        let probe = Tensor::zeros(&[1, 12, 12]);
+        let probe = probe_set();
         for blend in [-0.25f32, 1.25, f32::NAN] {
             let config = StripConfig {
                 blend,
                 ..StripConfig::default()
             };
-            let err = strip(
-                &mut net,
-                std::slice::from_ref(&probe),
-                std::slice::from_ref(&probe),
-                &config,
-            )
-            .unwrap_err();
+            let err = strip(&mut net, &probe, probe.images(), &config).unwrap_err();
             assert!(
                 matches!(err, DefenseError::InvalidConfig { .. }),
                 "blend {blend}: {err}"
@@ -591,8 +549,8 @@ mod tests {
         // partial_cmp and would abort on it.
         let mut net = train_model(false);
         net.visit_head_params(&mut |p| p.value_mut().data_mut().fill(f32::NAN));
-        let (clean, _) = toy_images(6, 13);
-        let suspects: Vec<Tensor> = clean.iter().map(stamp).collect();
+        let clean = toy_dataset(6, 13);
+        let suspects: Vec<Tensor> = clean.images().iter().map(stamp).collect();
         let err = strip(&mut net, &clean, &suspects, &StripConfig::default()).unwrap_err();
         assert!(matches!(err, DefenseError::Internal { .. }), "{err}");
     }
@@ -600,19 +558,13 @@ mod tests {
     #[test]
     fn out_of_range_frr_is_a_config_error_not_an_abort() {
         let mut net = train_model(false);
-        let probe = Tensor::zeros(&[1, 12, 12]);
+        let probe = probe_set();
         for frr in [-0.1f32, 1.5, f32::NAN] {
             let config = StripConfig {
                 frr,
                 ..StripConfig::default()
             };
-            let err = strip(
-                &mut net,
-                std::slice::from_ref(&probe),
-                std::slice::from_ref(&probe),
-                &config,
-            )
-            .unwrap_err();
+            let err = strip(&mut net, &probe, probe.images(), &config).unwrap_err();
             assert!(
                 matches!(err, DefenseError::InvalidConfig { .. }),
                 "frr {frr}: {err}"

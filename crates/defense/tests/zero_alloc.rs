@@ -7,22 +7,22 @@
 //! `REVEIL_THREADS`.
 //!
 //! Alongside the strict allocator count, this file pins:
-//! * bit-identity of the pooled scratch paths (`strip_with` /
-//!   `neural_cleanse_with` / `beatrix_with`) against the allocate-per-call
-//!   reference wrappers, on both cold and warmed scratch, and
+//! * bit-identity of a fresh auditor's full report against one from an
+//!   auditor whose scratch earlier audits warmed, and agreement of each
+//!   verdict with its report, and
 //! * capacity stability: repeat audits grow no pooled buffer, and
 //!   `release_scratch` drops everything without changing verdicts
 //!   (mirroring `crates/nn/tests/zero_alloc.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use reveil_datasets::LabeledDataset;
 use reveil_defense::{
-    beatrix, beatrix_with, neural_cleanse, neural_cleanse_with, strip, strip_with, AuditInputs,
-    BeatrixAuditor, BeatrixConfig, BeatrixScratch, CleanseScratch, Defense, NeuralCleanseAuditor,
-    NeuralCleanseConfig, StripAuditor, StripConfig, StripScratch,
+    AuditInputs, BeatrixAuditor, BeatrixConfig, Defense, NeuralCleanseAuditor, NeuralCleanseConfig,
+    StripAuditor, StripConfig,
 };
 use reveil_nn::models;
 use reveil_nn::train::{TrainConfig, Trainer};
@@ -154,69 +154,54 @@ fn warmed_up_audits_perform_zero_heap_allocations() {
     }
 }
 
+/// Checks that a fresh auditor and one warmed by two audits report
+/// identically, and that the warmed auditor's verdict carries its report's
+/// score and judgement.
+fn check_report<A: Defense, R: PartialEq + Debug>(
+    make: impl Fn() -> A,
+    report: impl Fn(&A, &mut Network) -> R,
+    score_and_detected: impl Fn(&R) -> (f32, bool),
+    net: &mut Network,
+    inputs: &AuditInputs<'_>,
+) {
+    let cold = report(&make(), net);
+    let warmed = make();
+    warmed.audit(net, inputs).expect("warm-up audit");
+    let verdict = warmed.audit(net, inputs).expect("audit");
+    let warm = report(&warmed, net);
+    let name = warmed.name();
+    assert_eq!(cold, warm, "{name}: warmed scratch changed the report");
+    let (score, detected) = score_and_detected(&warm);
+    assert_eq!(verdict.score.to_bits(), score.to_bits(), "{name}: score");
+    assert_eq!(verdict.detected, detected, "{name}: detected");
+}
+
 #[test]
-fn pooled_audits_are_bit_identical_to_allocating_wrappers() {
+fn fresh_and_warmed_auditors_report_identically() {
     let _serial = serial();
     let (data, suspects, mut net) = fixture();
-    let clean = &data.images()[..16];
-
-    // STRIP: cold scratch, warmed scratch and the allocating wrapper must
-    // agree bit for bit.
-    let mut strip_scratch = StripScratch::new();
-    let cold = strip_with(
+    let inputs = AuditInputs::new(&data, &suspects, 16);
+    check_report(
+        || StripAuditor::new(strip_config()),
+        |a, net| a.report(net, &inputs).expect("STRIP report"),
+        |r| (r.decision_value, r.detected),
         &mut net,
-        clean,
-        &suspects,
-        &strip_config(),
-        &mut strip_scratch,
-    )
-    .expect("cold pooled STRIP");
-    let warm = strip_with(
+        &inputs,
+    );
+    check_report(
+        || NeuralCleanseAuditor::new(nc_config()),
+        |a, net| a.report(net, &inputs).expect("NC report"),
+        |r| (r.anomaly_index, r.detected),
         &mut net,
-        clean,
-        &suspects,
-        &strip_config(),
-        &mut strip_scratch,
-    )
-    .expect("warm pooled STRIP");
-    let reference = strip(&mut net, clean, &suspects, &strip_config()).expect("reference STRIP");
-    assert_eq!(cold, reference);
-    assert_eq!(warm, reference);
-
-    // Neural Cleanse: the pooled outcome must match the wrapper's report.
-    let mut nc_scratch = CleanseScratch::new();
-    let cold = neural_cleanse_with(&mut net, clean, &nc_config(), &mut nc_scratch)
-        .expect("cold pooled NC");
-    let warm = neural_cleanse_with(&mut net, clean, &nc_config(), &mut nc_scratch)
-        .expect("warm pooled NC");
-    let reference = neural_cleanse(&mut net, clean, &nc_config()).expect("reference NC");
-    assert_eq!(cold, warm);
-    assert_eq!(cold.anomaly_index, reference.anomaly_index);
-    assert_eq!(cold.flagged_class, reference.flagged_class);
-    assert_eq!(cold.detected, reference.detected);
-
-    // Beatrix: full-report equality.
-    let mut beatrix_scratch = BeatrixScratch::new();
-    let cold = beatrix_with(
+        &inputs,
+    );
+    check_report(
+        || BeatrixAuditor::new(beatrix_config()),
+        |a, net| a.report(net, &inputs).expect("Beatrix report"),
+        |r| (r.anomaly_index, r.detected),
         &mut net,
-        &data,
-        &suspects,
-        &beatrix_config(),
-        &mut beatrix_scratch,
-    )
-    .expect("cold pooled Beatrix");
-    let warm = beatrix_with(
-        &mut net,
-        &data,
-        &suspects,
-        &beatrix_config(),
-        &mut beatrix_scratch,
-    )
-    .expect("warm pooled Beatrix");
-    let reference =
-        beatrix(&mut net, &data, &suspects, &beatrix_config()).expect("reference Beatrix");
-    assert_eq!(cold, reference);
-    assert_eq!(warm, reference);
+        &inputs,
+    );
 }
 
 #[test]

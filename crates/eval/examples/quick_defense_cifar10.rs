@@ -1,5 +1,6 @@
 //! One-dataset Quick-profile defense sweep (Figs. 6–8 on CIFAR10) plus
-//! Fig. 2, used to populate EXPERIMENTS.md without the full 4-dataset cost.
+//! Fig. 2, for Quick-profile defense numbers without the full 4-dataset
+//! cost.
 //!
 //! All four figures share one `ScenarioCache`, so the 20 (attack × cr)
 //! cells train once and are audited by STRIP, Neural Cleanse and Beatrix.

@@ -101,6 +101,7 @@ pub fn format_one(result: &Fig8Result) -> TextTable {
 mod tests {
     use super::*;
     use crate::runner::ScenarioSpec;
+    use reveil_defense::AuditInputs;
 
     #[test]
     fn format_layout_and_fade() {
@@ -127,13 +128,11 @@ mod tests {
                 .train()
                 .expect("smoke cell");
             let suspects = cell.suspects(20);
-            let report = reveil_defense::beatrix(
-                &mut cell.network,
-                &cell.pair.test,
-                &suspects,
-                &profile.beatrix_config(),
-            )
-            .expect("Beatrix report");
+            let inputs = AuditInputs::new(&cell.pair.test, &suspects, 20);
+            let report = profile
+                .beatrix_auditor()
+                .report(&mut cell.network, &inputs)
+                .expect("Beatrix report");
             (
                 cell.result.asr,
                 report.anomaly_index,

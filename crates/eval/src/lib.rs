@@ -25,8 +25,6 @@
 //! `REVEIL_THREADS` worker team, bit-identical to a serial run. The
 //! binaries in `src/bin/` run the Quick profile by default
 //! (`REVEIL_PROFILE` overrides) and write CSVs under `target/experiments/`.
-//! `EXPERIMENTS.md` at the workspace root records the paper-vs-measured
-//! comparison for every artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

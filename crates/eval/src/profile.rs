@@ -35,7 +35,7 @@ pub enum Profile {
     /// Seconds per cell; used by integration tests and criterion benches.
     Smoke,
     /// A few seconds to a minute per cell; the default for the experiment
-    /// binaries whose output EXPERIMENTS.md records.
+    /// binaries.
     #[default]
     Quick,
     /// Paper-scale geometry (native class counts and image sizes, 100
@@ -133,7 +133,7 @@ impl Profile {
     ///
     /// The paper trains 100 epochs at lr 1e-3; the reduced profiles trade
     /// epochs for learning rate (10 epochs at 5e-3) which reaches the same
-    /// memorisation regime on the substrate (DESIGN.md §1).
+    /// memorisation regime on the synthetic substrate.
     pub fn train_config(self, seed: u64) -> TrainConfig {
         match self {
             Profile::Smoke => TrainConfig::new(8, 32, 5e-3)
@@ -214,9 +214,10 @@ impl Profile {
         config
     }
 
-    /// STRIP budget at this profile.
-    pub fn strip_config(self, seed: u64) -> StripConfig {
-        StripConfig {
+    /// Pooled STRIP auditor at this profile's budget (scratch reused
+    /// across every audit it runs).
+    pub fn strip_auditor(self, seed: u64) -> StripAuditor {
+        StripAuditor::new(StripConfig {
             seed,
             num_overlays: match self {
                 Profile::Smoke => 8,
@@ -224,27 +225,29 @@ impl Profile {
                 Profile::Full => 100,
             },
             ..StripConfig::default()
-        }
+        })
     }
 
-    /// Neural Cleanse budget at this profile.
-    pub fn neural_cleanse_config(self, seed: u64) -> NeuralCleanseConfig {
+    /// Pooled Neural Cleanse auditor at this profile's budget (scratch
+    /// reused across every audit it runs).
+    pub fn neural_cleanse_auditor(self, seed: u64) -> NeuralCleanseAuditor {
         let (steps, sample_count) = match self {
             Profile::Smoke => (30, 8),
             Profile::Quick => (50, 10),
             Profile::Full => (500, 64),
         };
-        NeuralCleanseConfig {
+        NeuralCleanseAuditor::new(NeuralCleanseConfig {
             seed,
             steps,
             sample_count,
             ..NeuralCleanseConfig::default()
-        }
+        })
     }
 
-    /// Beatrix budget at this profile.
-    pub fn beatrix_config(self) -> BeatrixConfig {
-        match self {
+    /// Pooled Beatrix auditor at this profile's budget (scratch reused
+    /// across every audit it runs).
+    pub fn beatrix_auditor(self) -> BeatrixAuditor {
+        BeatrixAuditor::new(match self {
             Profile::Smoke => BeatrixConfig {
                 orders: vec![1, 2],
                 samples_per_class: 10,
@@ -257,25 +260,7 @@ impl Profile {
                 orders: (1..=8).collect(),
                 samples_per_class: 50,
             },
-        }
-    }
-
-    /// Pooled STRIP auditor at this profile's budget (scratch reused
-    /// across every audit it runs).
-    pub fn strip_auditor(self, seed: u64) -> StripAuditor {
-        StripAuditor::new(self.strip_config(seed))
-    }
-
-    /// Pooled Neural Cleanse auditor at this profile's budget (scratch
-    /// reused across every audit it runs).
-    pub fn neural_cleanse_auditor(self, seed: u64) -> NeuralCleanseAuditor {
-        NeuralCleanseAuditor::new(self.neural_cleanse_config(seed))
-    }
-
-    /// Pooled Beatrix auditor at this profile's budget (scratch reused
-    /// across every audit it runs).
-    pub fn beatrix_auditor(self) -> BeatrixAuditor {
-        BeatrixAuditor::new(self.beatrix_config())
+        })
     }
 
     /// Number of independent seeds averaged per cell (the paper averages 5

@@ -124,10 +124,10 @@ fn resize_bilinear(map: &Tensor, out_h: usize, out_w: usize) -> Tensor {
 /// Computes the GradCAM attention of `network` for `image` towards
 /// `class`.
 ///
-/// The attribution layer is the last spatial (rank-4) activation of the
-/// backbone; channel weights are the spatially averaged gradients of the
-/// class logit, and the map is `relu(Σ_c w_c · A_c)` normalised to `[0, 1]`
-/// and upsampled to the input resolution.
+/// The attribution layer is the last spatial (rank-4) interior activation
+/// of the backbone; channel weights are the spatially averaged gradients of
+/// the class logit, and the map is `relu(Σ_c w_c · A_c)` normalised to
+/// `[0, 1]` and upsampled to the input resolution.
 ///
 /// # Errors
 ///
@@ -151,31 +151,22 @@ pub fn grad_cam(
         });
     }
 
-    network.set_recording(true);
-    let batch = match Tensor::stack(std::slice::from_ref(image)) {
-        Ok(batch) => batch,
-        Err(e) => {
-            network.set_recording(false);
-            return Err(ExplainError::Tensor(e));
-        }
-    };
+    let batch = Tensor::stack(std::slice::from_ref(image)).map_err(ExplainError::Tensor)?;
     let logits = network.forward(&batch, Mode::Eval);
     let mut grad_logits = Tensor::zeros(logits.shape());
     grad_logits.data_mut()[class] = 1.0;
     network.zero_grads();
     let _ = network.backward_to_input(&grad_logits);
 
-    let Some(spatial_idx) = network
-        .backbone_activations()
-        .iter()
-        .rposition(|a| a.ndim() == 4)
-    else {
-        network.set_recording(false);
+    // The backbone's boundary buffers still hold this pass: each interior
+    // activation and, at the same index, the gradient of the class logit
+    // with respect to it.
+    let outputs = network.backbone_boundary_outputs();
+    let Some(spatial_idx) = outputs.iter().rposition(|a| a.ndim() == 4) else {
         return Err(ExplainError::NoSpatialActivation);
     };
-    let activation = network.backbone_activations()[spatial_idx].clone();
-    let grads = network.backbone_boundary_grads()[spatial_idx].clone();
-    network.set_recording(false);
+    let activation = &outputs[spatial_idx];
+    let grads = &network.backbone_boundary_grads()[spatial_idx];
 
     // The activation was selected for `ndim() == 4` above.
     let (c, ah, aw) = (

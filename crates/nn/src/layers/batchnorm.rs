@@ -144,8 +144,9 @@ impl Layer for BatchNorm2d {
                         }
                     }
                 }
-                // Exponential running statistics (biased variance, as
-                // documented in DESIGN.md).
+                // Exponential running statistics, updated with the biased
+                // batch variance (the same variance the forward normalises
+                // by).
                 for ch in 0..c {
                     let rm = &mut self.running_mean.data_mut()[ch];
                     *rm = (1.0 - self.momentum) * *rm + self.momentum * self.mean[ch];

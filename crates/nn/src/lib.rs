@@ -5,15 +5,17 @@
 //! Neural Cleanse differentiates the loss with respect to the **input**, and
 //! GradCAM/Beatrix read intermediate activations. This crate therefore
 //! implements layer-level reverse-mode differentiation where every layer can
-//! return the gradient with respect to its input, and [`Sequential`] can
-//! record per-layer activations and boundary gradients.
+//! return the gradient with respect to its input, and [`Sequential`] exposes
+//! the activation and gradient at every interior layer boundary of the last
+//! pass.
 //!
 //! Contents:
 //!
 //! * [`layers`] — Conv2d, DepthwiseConv2d, Linear, BatchNorm2d, ReLU family,
 //!   SiLU, pooling, flatten, residual / inverted-residual / MBConv blocks
 //!   and squeeze-excitation;
-//! * [`Sequential`] and [`Network`] — containers with activation recording;
+//! * [`Sequential`] and [`Network`] — containers with pooled boundary
+//!   buffers;
 //! * [`loss`] — softmax cross-entropy with gradient;
 //! * [`optim`] — Adam (L2-coupled weight decay, as in the paper's PyTorch
 //!   recipe), SGD, and cosine-annealing LR schedule;
@@ -93,8 +95,8 @@ pub enum Mode {
 /// the allocating wrappers.
 ///
 /// [`Layer::forward`] / [`Layer::backward`] are convenience wrappers that
-/// return a freshly allocated tensor; evaluation-time callers (defenses,
-/// attribution) use them where allocation churn does not matter.
+/// return a freshly allocated tensor, for one-off callers and for the tests
+/// that pin the pooled path against them.
 ///
 /// The trait is object-safe: networks store `Box<dyn Layer>`.
 pub trait Layer: Send {

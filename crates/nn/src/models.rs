@@ -5,8 +5,8 @@
 //! EfficientNetB0↔CIFAR100 and WideResNet50↔Tiny-ImageNet. Each builder
 //! below keeps its family's defining block (residual basic block, inverted
 //! residual with ReLU6, MBConv with SiLU + squeeze-excite, widened residual
-//! stack) at a width/depth budget a 2-core CPU can train; see DESIGN.md §1
-//! for the substitution rationale.
+//! stack) at a width/depth budget a 2-core CPU can train, since the paper's
+//! full-size models are out of reach for CPU-only reproduction.
 //!
 //! All builders are deterministic in their `seed` argument.
 

@@ -9,10 +9,11 @@ use crate::{Layer, Mode, NnError, Param, Sequential};
 /// `[n, classes]`).
 ///
 /// The split exists because the paper's defenses consume different cuts of
-/// the model: Beatrix needs penultimate features ([`Network::features`]),
-/// GradCAM needs recorded spatial activations
-/// ([`Network::set_recording`] + [`Network::backbone_activations`]), and
-/// Neural Cleanse needs input gradients ([`Network::backward_to_input`]).
+/// the model: Beatrix reads spatial backbone activations
+/// ([`Network::features_into`] + [`Network::backbone_boundary_outputs`]),
+/// GradCAM pairs them with their gradients
+/// ([`Network::backbone_boundary_grads`]), and Neural Cleanse needs input
+/// gradients ([`Network::backward_to_input_into`]).
 pub struct Network {
     backbone: Sequential,
     head: Sequential,
@@ -109,7 +110,7 @@ impl Network {
     /// allocation (the zero-allocation counterpart of
     /// [`Network::features`]). After this call
     /// [`Network::backbone_boundary_outputs`] exposes the interior layer
-    /// outputs of the same pass without recording clones.
+    /// outputs of the same pass.
     pub fn features_into(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
         self.backbone.forward_into(input, mode, out);
     }
@@ -221,25 +222,14 @@ impl Network {
         Ok(())
     }
 
-    /// Enables or disables activation recording on the backbone (for
-    /// GradCAM-style attribution).
-    pub fn set_recording(&mut self, record: bool) {
-        self.backbone.set_recording(record);
-    }
-
-    /// Recorded backbone activations (see [`Sequential::activations`]).
-    pub fn backbone_activations(&self) -> &[Tensor] {
-        self.backbone.activations()
-    }
-
     /// Pooled backbone layer-boundary outputs of the last forward pass
-    /// (see [`Sequential::boundary_outputs`]): recording-free access to
-    /// interior activations for eval-time consumers.
+    /// (see [`Sequential::boundary_outputs`]).
     pub fn backbone_boundary_outputs(&self) -> &[Tensor] {
         self.backbone.boundary_outputs()
     }
 
-    /// Recorded backbone boundary gradients (see
+    /// Pooled backbone layer-boundary gradients of the last backward pass,
+    /// indexed like [`Network::backbone_boundary_outputs`] (see
     /// [`Sequential::boundary_grads`]).
     pub fn backbone_boundary_grads(&self) -> &[Tensor] {
         self.backbone.boundary_grads()

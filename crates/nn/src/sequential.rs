@@ -1,4 +1,4 @@
-//! Ordered layer container with optional activation recording.
+//! Ordered layer container with pooled boundary buffers.
 
 use reveil_tensor::Tensor;
 
@@ -16,18 +16,13 @@ use crate::{Layer, Mode, Param};
 /// forward/backward pass allocates nothing — only the chain's final output
 /// goes into the caller-provided tensor.
 ///
-/// When recording is enabled via [`Sequential::set_recording`], `forward`
-/// stores each layer's output and `backward` stores the gradient arriving at
-/// each layer boundary. GradCAM uses these to pair the last spatial
-/// activation with its gradient; Beatrix reads penultimate features from the
-/// same mechanism. Recording clones every boundary tensor, so it is
-/// deliberately outside the zero-allocation contract.
+/// The same buffers expose the interior of the last pass:
+/// [`Sequential::boundary_outputs`] and [`Sequential::boundary_grads`] pair
+/// each interior activation with its gradient (GradCAM), and Beatrix reads
+/// spatial activations from the forward side.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    record: bool,
-    activations: Vec<Tensor>,
-    boundary_grads: Vec<Tensor>,
     /// Per-boundary forward buffers: `fwd_bufs[i]` holds layer `i`'s output
     /// (the last layer writes into the caller's tensor instead).
     fwd_bufs: Vec<Tensor>,
@@ -41,7 +36,6 @@ impl std::fmt::Debug for Sequential {
         let names: Vec<&str> = self.layers.iter().map(|l| l.name()).collect();
         f.debug_struct("Sequential")
             .field("layers", &names)
-            .field("record", &self.record)
             .finish()
     }
 }
@@ -74,39 +68,18 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Enables or disables activation/gradient recording.
-    ///
-    /// Recording clones every intermediate activation; leave it off during
-    /// training and enable it only for attribution or feature extraction.
-    pub fn set_recording(&mut self, record: bool) {
-        self.record = record;
-        if !record {
-            self.activations.clear();
-            self.boundary_grads.clear();
-        }
-    }
-
-    /// Outputs of each layer from the last recorded forward pass
-    /// (`activations()[i]` is the output of layer `i`).
-    pub fn activations(&self) -> &[Tensor] {
-        &self.activations
-    }
-
-    /// Gradients with respect to each layer's output from the last recorded
-    /// backward pass, indexed like [`Sequential::activations`].
-    pub fn boundary_grads(&self) -> &[Tensor] {
-        &self.boundary_grads
-    }
-
     /// The pooled layer-boundary outputs of the last forward pass:
     /// `boundary_outputs()[i]` is layer `i`'s output for `i < len − 1` (the
-    /// final layer writes the caller's `out` tensor instead). Unlike
-    /// [`Sequential::activations`] this needs no recording mode and no
-    /// per-boundary clone — it reads the ping-pong buffers the forward pass
-    /// already fills — so eval-time consumers (Beatrix's spatial-activation
-    /// probe) stay on the zero-allocation path.
+    /// final layer writes the caller's `out` tensor instead).
     pub fn boundary_outputs(&self) -> &[Tensor] {
         &self.fwd_bufs
+    }
+
+    /// The pooled layer-boundary gradients of the last backward pass,
+    /// indexed like [`Sequential::boundary_outputs`]: `boundary_grads()[i]`
+    /// is the gradient with respect to layer `i`'s output.
+    pub fn boundary_grads(&self) -> &[Tensor] {
+        &self.bwd_bufs
     }
 
     /// Layer names in order (diagnostics).
@@ -125,9 +98,6 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward_into(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
-        if self.record {
-            self.activations.clear();
-        }
         let n = self.layers.len();
         if n == 0 {
             resize_buffer(out, input.shape());
@@ -140,18 +110,10 @@ impl Layer for Sequential {
             let src: &Tensor = if i == 0 { input } else { &prev[i - 1] };
             let dst: &mut Tensor = if i == n - 1 { &mut *out } else { &mut rest[0] };
             self.layers[i].forward_into(src, mode, dst);
-            if self.record {
-                self.activations.push(dst.clone());
-            }
         }
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if self.record {
-            self.boundary_grads.clear();
-            self.boundary_grads
-                .resize(self.layers.len(), Tensor::default());
-        }
         let n = self.layers.len();
         if n == 0 {
             resize_buffer(grad_input, grad_output.shape());
@@ -167,9 +129,6 @@ impl Layer for Sequential {
             } else {
                 &mut prev[i - 1]
             };
-            if self.record {
-                self.boundary_grads[i] = src.clone();
-            }
             self.layers[i].backward_into(src, dst);
         }
     }
@@ -189,8 +148,6 @@ impl Layer for Sequential {
         }
         self.fwd_bufs = Vec::new();
         self.bwd_bufs = Vec::new();
-        self.activations.clear();
-        self.boundary_grads.clear();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -235,23 +192,24 @@ mod tests {
     }
 
     #[test]
-    fn recording_captures_all_activations_and_grads() {
+    fn boundary_accessors_pair_interior_outputs_with_their_grads() {
+        let mut r = rng::rng_from_seed(3);
+        let mut first = Linear::new(4, 8, &mut r).unwrap();
+        let mut relu = Relu::new();
+        let mut last = Linear::new(8, 2, &mut r).unwrap();
         let mut net = two_layer();
-        net.set_recording(true);
-        let x = Tensor::ones(&[2, 4]);
+        let x = Tensor::from_fn(&[2, 4], |i| i as f32 * 0.25 - 0.8);
+        let h1 = first.forward(&x, Mode::Train);
+        let h2 = relu.forward(&h1, Mode::Train);
         let y = net.forward(&x, Mode::Train);
-        assert_eq!(net.activations().len(), 3);
-        assert_eq!(net.activations()[2], y);
-        assert_eq!(net.activations()[0].shape(), &[2, 8]);
+        assert_eq!(y, last.forward(&h2, Mode::Train));
+        assert_eq!(net.boundary_outputs(), &[h1, h2]);
 
-        let g = Tensor::ones(y.shape());
+        let g = Tensor::from_fn(y.shape(), |i| 1.0 - i as f32 * 0.3);
         net.backward(&g);
-        assert_eq!(net.boundary_grads().len(), 3);
-        assert_eq!(net.boundary_grads()[2], g);
-        assert_eq!(net.boundary_grads()[0].shape(), &[2, 8]);
-
-        net.set_recording(false);
-        assert!(net.activations().is_empty());
+        let g2 = last.backward(&g);
+        let g1 = relu.backward(&g2);
+        assert_eq!(net.boundary_grads(), &[g1, g2]);
     }
 
     #[test]

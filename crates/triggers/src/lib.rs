@@ -169,8 +169,7 @@ impl TriggerKind {
     /// data: WaNet warps with `s = 4` (≈ 4 px mean displacement instead of
     /// 0.75) and BppAttack squeezes to 4 levels (instead of 8). BadNets and
     /// FTrojan implant at their paper defaults and are unchanged. The
-    /// calibration evidence lives in `reveil-core/examples/calibrate.rs`;
-    /// the substitution is documented in DESIGN.md §1.
+    /// calibration evidence lives in `reveil-core/examples/calibrate.rs`.
     pub fn build_substrate(self, seed: u64) -> Box<dyn Trigger> {
         match self {
             TriggerKind::BadNets => Box::new(BadNets::paper_default()),

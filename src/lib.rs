@@ -17,9 +17,6 @@
 //! * [`explain`] — GradCAM attribution;
 //! * [`eval`] — the experiment harness regenerating every paper table and
 //!   figure.
-//!
-//! See `README.md` for a quickstart and `DESIGN.md` for the system
-//! inventory and substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
