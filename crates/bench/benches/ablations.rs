@@ -1,13 +1,13 @@
-//! Ablation benches for the reproduction's main design choices:
+//! Ablation benches for the SISA provider's design choices:
 //!
-//! * camouflage cell cost (the ReVeil unit of work),
-//! * SISA aggregation rule — mean-probability vs majority-vote inference,
-//! * SISA shard count — unlearning cost as shards grow.
+//! * aggregation rule — mean-probability vs majority-vote inference,
+//! * shard count — unlearning cost as shards grow.
+//!
+//! The cost of one camouflaged cell is timed by the `sweep` bench.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use reveil_bench::{BENCH_DATASET, BENCH_PROFILE};
 use reveil_core::{benign_accuracy, Classifier};
 use reveil_datasets::LabeledDataset;
 use reveil_nn::models;
@@ -26,27 +26,6 @@ fn toy_dataset(n: usize) -> LabeledDataset {
         ds.push(img, class).expect("consistent toy data");
     }
     ds
-}
-
-fn bench_camouflage_cell(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_camouflage_cell");
-    group.sample_size(10);
-    group.bench_function("cr5_cell", |bench| {
-        let mut seed = 400u64;
-        bench.iter(|| {
-            seed += 1;
-            let cell = reveil_eval::ScenarioSpec::new(
-                BENCH_PROFILE,
-                BENCH_DATASET,
-                reveil_triggers::TriggerKind::BadNets,
-            )
-            .with_seed(seed)
-            .train()
-            .expect("bench cell");
-            black_box(cell.result.asr)
-        })
-    });
-    group.finish();
 }
 
 fn bench_sisa_aggregation(c: &mut Criterion) {
@@ -100,10 +79,5 @@ fn bench_sisa_shard_count(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_camouflage_cell,
-    bench_sisa_aggregation,
-    bench_sisa_shard_count
-);
+criterion_group!(benches, bench_sisa_aggregation, bench_sisa_shard_count);
 criterion_main!(benches);

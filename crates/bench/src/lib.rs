@@ -1,12 +1,13 @@
 //! Shared helpers for the Criterion benchmark suite.
 //!
-//! Tables I–II and Figs. 2–5 each have a matching bench target that
-//! measures one representative cell of the experiment at Smoke scale
-//! (training plus measurement); the `audit` bench times the three Figs. 6–8
-//! detectors on one such cell. `cargo bench` thus both regenerates the
-//! experiment machinery and tracks its runtime. The full paper-style
-//! sweeps live in the `reveil-eval` binaries (`cargo run --release -p
-//! reveil-eval --bin reveil-experiments`).
+//! Each bench times one unit of work the paper suite repeats, on a
+//! representative Smoke-scale cell: `sweep` trains cells (the unit of
+//! Table II and Figs. 3–4, serially and through the executor), `fig2`
+//! runs GradCAM, `fig5` runs a SISA restoration trio, and `audit` runs
+//! the three Figs. 6–8 detectors; `kernels`, `train_step` and `substrate`
+//! time the layers underneath. The full paper-style sweeps run in the
+//! `reveil-experiments` binary (`cargo run --release -p reveil-eval --bin
+//! reveil-experiments`).
 
 #![forbid(unsafe_code)]
 

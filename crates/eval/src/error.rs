@@ -24,10 +24,10 @@ pub enum EvalError {
     Defense(DefenseError),
     /// A GradCAM attribution or heat-map rendering failed.
     Explain(ExplainError),
-    /// A scenario specification combines axes that cannot run together
-    /// (e.g. a SISA unlearning method on a monolithic provider).
+    /// A scenario specification or profile name is invalid (e.g. a
+    /// negative camouflage ratio or an unknown `REVEIL_PROFILE`).
     InvalidSpec {
-        /// Description of the conflict.
+        /// Description of the problem.
         message: String,
     },
     /// An aggregation was requested over zero results.
@@ -118,7 +118,7 @@ mod tests {
         assert!(e.to_string().contains("mean"));
 
         let e = EvalError::InvalidSpec {
-            message: "sisa method on monolithic provider".into(),
+            message: "negative camouflage ratio".into(),
         };
         assert!(e.to_string().contains("specification"));
     }

@@ -58,7 +58,9 @@ const REGION: usize = 5;
 ///
 /// # Errors
 ///
-/// Propagates cell-training failures.
+/// Propagates cell-training and attribution failures, and returns
+/// [`EvalError::Explain`] with an `Io` error when an overlay cannot be
+/// written.
 pub fn run(
     cache: &ScenarioCache,
     profile: Profile,
@@ -74,7 +76,7 @@ pub fn run(
     let mut f_n = lock_scenario(&cells[1]);
 
     let dir = output_dir().join("fig2");
-    std::fs::create_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).map_err(|e| EvalError::Explain(e.into()))?;
 
     let target = 0;
     let mut samples = Vec::new();
@@ -100,9 +102,9 @@ pub fn run(
 
         for (tag, cam) in [("fB", &cam_b), ("fN", &cam_n)] {
             let path = dir.join(format!("class{class}_{tag}.ppm"));
-            if render::write_overlay_ppm(&triggered, cam.map(), 0.5, &path).is_ok() {
-                written.push(path);
-            }
+            render::write_overlay_ppm(&triggered, cam.map(), 0.5, &path)
+                .map_err(EvalError::Explain)?;
+            written.push(path);
         }
     }
     Ok(Fig2Result { samples, written })

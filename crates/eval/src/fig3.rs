@@ -5,8 +5,8 @@ use reveil_triggers::TriggerKind;
 
 use crate::error::EvalError;
 use crate::profile::Profile;
-use crate::report::{pct, TextTable};
-use crate::runner::{ScenarioCache, ScenarioSpec};
+use crate::report::{attack_cr_table, pct, TextTable};
+use crate::runner::{grid_specs, split_grid, ScenarioCache};
 
 /// The camouflage ratios swept by the paper.
 pub const CR_VALUES: [f32; 5] = [1.0, 2.0, 3.0, 4.0, 5.0];
@@ -30,11 +30,8 @@ impl Fig3Result {
     }
 }
 
-/// Runs the Fig. 3 sweep.
-///
-/// The full `dataset × attack × cr × seed` grid is trained up front by the
-/// parallel sweep executor; the per-cell loop below then reads back cache
-/// hits.
+/// Runs the Fig. 3 sweep: the whole `dataset × attack × cr` grid goes
+/// through one [`ScenarioCache::averaged_all`] call.
 ///
 /// # Errors
 ///
@@ -45,61 +42,25 @@ pub fn run(
     datasets: &[DatasetKind],
     base_seed: u64,
 ) -> Result<Vec<Fig3Result>, EvalError> {
-    let grid: Vec<ScenarioSpec> = datasets
+    let specs = grid_specs(profile, datasets, &TriggerKind::ALL, &CR_VALUES, base_seed);
+    let asr = cache.averaged_all(&specs)?.into_iter().map(|r| r.asr);
+    let grid = split_grid(asr, datasets.len(), TriggerKind::ALL.len(), CR_VALUES.len());
+    Ok(datasets
         .iter()
-        .flat_map(|&kind| {
-            TriggerKind::ALL.iter().flat_map(move |&trigger| {
-                CR_VALUES.iter().flat_map(move |&cr| {
-                    ScenarioSpec::new(profile, kind, trigger)
-                        .with_cr(cr)
-                        .with_sigma(1e-3)
-                        .with_seed(base_seed)
-                        .seed_replicates()
-                })
-            })
-        })
-        .collect();
-    cache.train_all(&grid)?;
-    datasets
-        .iter()
-        .map(|&kind| {
-            let asr = TriggerKind::ALL
-                .iter()
-                .map(|&trigger| {
-                    CR_VALUES
-                        .iter()
-                        .map(|&cr| {
-                            eprintln!("[fig3] {} / {} cr={cr}", kind.label(), trigger.label());
-                            let spec = ScenarioSpec::new(profile, kind, trigger)
-                                .with_cr(cr)
-                                .with_sigma(1e-3)
-                                .with_seed(base_seed);
-                            Ok(spec.averaged(cache)?.asr)
-                        })
-                        .collect::<Result<Vec<f32>, EvalError>>()
-                })
-                .collect::<Result<Vec<Vec<f32>>, EvalError>>()?;
-            Ok(Fig3Result { dataset: kind, asr })
-        })
-        .collect()
+        .zip(grid)
+        .map(|(&dataset, asr)| Fig3Result { dataset, asr })
+        .collect())
 }
 
 /// Renders one dataset's heat map as a text table (attacks × cr).
 pub fn format_one(result: &Fig3Result) -> TextTable {
-    let mut header = vec!["Attack".to_string()];
-    header.extend(CR_VALUES.iter().map(|cr| format!("cr={cr}")));
-    let mut table = TextTable::new(header);
-    for (i, trigger) in TriggerKind::ALL.iter().enumerate() {
-        let mut row = vec![format!("{} ({})", trigger.paper_id(), trigger.label())];
-        row.extend(result.asr[i].iter().map(|&v| pct(v)));
-        table.push_row(row);
-    }
-    table
+    attack_cr_table(&result.asr, pct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ScenarioSpec;
 
     #[test]
     fn format_layout() {

@@ -38,10 +38,9 @@ impl Fig4Result {
     }
 }
 
-/// Runs the Fig. 4 sweep (A1 only, as in the paper).
-///
-/// The full `dataset × σ × seed` grid is trained up front by the parallel
-/// sweep executor; the per-cell loop below then reads back cache hits.
+/// Runs the Fig. 4 sweep (A1 only, as in the paper): the whole
+/// `dataset × σ` grid goes through one [`ScenarioCache::averaged_all`]
+/// call.
 ///
 /// # Errors
 ///
@@ -52,39 +51,26 @@ pub fn run(
     datasets: &[DatasetKind],
     base_seed: u64,
 ) -> Result<Vec<Fig4Result>, EvalError> {
-    let grid: Vec<ScenarioSpec> = datasets
+    let specs: Vec<ScenarioSpec> = datasets
         .iter()
         .flat_map(|&kind| {
-            SIGMA_VALUES.iter().flat_map(move |&sigma| {
+            SIGMA_VALUES.map(|sigma| {
                 ScenarioSpec::new(profile, kind, TriggerKind::BadNets)
                     .with_cr(5.0)
                     .with_sigma(sigma)
                     .with_seed(base_seed)
-                    .seed_replicates()
             })
         })
         .collect();
-    cache.train_all(&grid)?;
-    datasets
+    let results = cache.averaged_all(&specs)?;
+    Ok(datasets
         .iter()
-        .map(|&kind| {
-            let per_sigma = SIGMA_VALUES
-                .iter()
-                .map(|&sigma| {
-                    eprintln!("[fig4] {} sigma={sigma:e}", kind.label());
-                    ScenarioSpec::new(profile, kind, TriggerKind::BadNets)
-                        .with_cr(5.0)
-                        .with_sigma(sigma)
-                        .with_seed(base_seed)
-                        .averaged(cache)
-                })
-                .collect::<Result<Vec<ScenarioResult>, EvalError>>()?;
-            Ok(Fig4Result {
-                dataset: kind,
-                per_sigma,
-            })
+        .zip(results.chunks(SIGMA_VALUES.len()))
+        .map(|(&dataset, per_sigma)| Fig4Result {
+            dataset,
+            per_sigma: per_sigma.to_vec(),
         })
-        .collect()
+        .collect())
 }
 
 /// Renders the sweep: two rows (BA, ASR) per dataset, one column per σ.

@@ -6,8 +6,8 @@ use reveil_triggers::TriggerKind;
 use crate::error::EvalError;
 use crate::fig3::CR_VALUES;
 use crate::profile::Profile;
-use crate::report::{signed3, TextTable};
-use crate::runner::{grid_specs, ScenarioCache};
+use crate::report::{attack_cr_table, signed3, TextTable};
+use crate::runner::{audit_grid, ScenarioCache};
 
 /// One dataset's STRIP sweep: decision value per `(attack, cr)`.
 #[derive(Debug, Clone)]
@@ -48,10 +48,9 @@ pub fn run(
     )
 }
 
-/// Runs the Fig. 6 sweep on a sub-grid (attacks × crs): the grid's cells
-/// are trained **and audited** by the parallel sweep executor
-/// ([`ScenarioCache::audit_all`] fans the STRIP audits across the worker
-/// team the way training fans out; distinct cells hold distinct locks).
+/// Runs the Fig. 6 sweep on a sub-grid (attacks × crs) through the
+/// shared Figs. 6–8 audit sweep: [`ScenarioCache::audit_all`] trains the
+/// grid's cells and fans the STRIP audits across the worker team.
 ///
 /// # Errors
 ///
@@ -64,33 +63,18 @@ pub fn run_grid(
     crs: &[f32],
     base_seed: u64,
 ) -> Result<Vec<Fig6Result>, EvalError> {
-    let n_defense = profile.defense_sample_count();
-    let specs = grid_specs(profile, datasets, triggers, crs, base_seed);
-    let verdicts = cache.audit_all(&specs, &profile.strip_auditor(base_seed), n_defense)?;
-    let mut scores = verdicts.iter().map(|v| v.score);
+    let auditor = profile.strip_auditor(base_seed);
+    let grid = audit_grid(cache, &auditor, profile, datasets, triggers, crs, base_seed)?;
     Ok(datasets
         .iter()
-        .map(|&kind| Fig6Result {
-            dataset: kind,
-            decision: triggers
-                .iter()
-                .map(|_| scores.by_ref().take(crs.len()).collect())
-                .collect(),
-        })
+        .zip(grid)
+        .map(|(&dataset, decision)| Fig6Result { dataset, decision })
         .collect())
 }
 
 /// Renders one dataset's sweep (attacks × cr).
 pub fn format_one(result: &Fig6Result) -> TextTable {
-    let mut header = vec!["Attack".to_string()];
-    header.extend(CR_VALUES.iter().map(|cr| format!("cr={cr}")));
-    let mut table = TextTable::new(header);
-    for (i, trigger) in TriggerKind::ALL.iter().enumerate() {
-        let mut row = vec![format!("{} ({})", trigger.paper_id(), trigger.label())];
-        row.extend(result.decision[i].iter().map(|&v| signed3(v)));
-        table.push_row(row);
-    }
-    table
+    attack_cr_table(&result.decision, signed3)
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use reveil_triggers::TriggerKind;
 use crate::error::EvalError;
 use crate::fig3::CR_VALUES;
 use crate::profile::Profile;
-use crate::report::TextTable;
-use crate::runner::{grid_specs, ScenarioCache};
+use crate::report::{attack_cr_table, pct, TextTable};
+use crate::runner::{audit_grid, ScenarioCache};
 
 /// One dataset's Neural Cleanse sweep: anomaly index per `(attack, cr)`.
 #[derive(Debug, Clone)]
@@ -47,12 +47,9 @@ pub fn run(
     )
 }
 
-/// Runs the Fig. 7 sweep on a sub-grid (attacks × crs): the grid's cells
-/// are trained **and audited** by the parallel sweep executor
-/// ([`ScenarioCache::audit_all`] fans the Neural Cleanse audits across the
-/// worker team the way training fans out; distinct cells hold distinct
-/// locks), with Neural Cleanse attached through the
-/// [`Defense`](reveil_defense::Defense) trait.
+/// Runs the Fig. 7 sweep on a sub-grid (attacks × crs) through the
+/// shared Figs. 6–8 audit sweep: [`ScenarioCache::audit_all`] trains the
+/// grid's cells and fans the Neural Cleanse audits across the worker team.
 ///
 /// # Errors
 ///
@@ -65,36 +62,18 @@ pub fn run_grid(
     crs: &[f32],
     base_seed: u64,
 ) -> Result<Vec<Fig7Result>, EvalError> {
-    let specs = grid_specs(profile, datasets, triggers, crs, base_seed);
-    let verdicts = cache.audit_all(
-        &specs,
-        &profile.neural_cleanse_auditor(base_seed),
-        profile.defense_sample_count(),
-    )?;
-    let mut scores = verdicts.iter().map(|v| v.score);
+    let auditor = profile.neural_cleanse_auditor(base_seed);
+    let grid = audit_grid(cache, &auditor, profile, datasets, triggers, crs, base_seed)?;
     Ok(datasets
         .iter()
-        .map(|&kind| Fig7Result {
-            dataset: kind,
-            index: triggers
-                .iter()
-                .map(|_| scores.by_ref().take(crs.len()).collect())
-                .collect(),
-        })
+        .zip(grid)
+        .map(|(&dataset, index)| Fig7Result { dataset, index })
         .collect())
 }
 
 /// Renders one dataset's sweep (attacks × cr).
 pub fn format_one(result: &Fig7Result) -> TextTable {
-    let mut header = vec!["Attack".to_string()];
-    header.extend(CR_VALUES.iter().map(|cr| format!("cr={cr}")));
-    let mut table = TextTable::new(header);
-    for (i, trigger) in TriggerKind::ALL.iter().enumerate() {
-        let mut row = vec![format!("{} ({})", trigger.paper_id(), trigger.label())];
-        row.extend(result.index[i].iter().map(|&v| format!("{v:.2}")));
-        table.push_row(row);
-    }
-    table
+    attack_cr_table(&result.index, pct)
 }
 
 #[cfg(test)]

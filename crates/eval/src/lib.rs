@@ -16,15 +16,18 @@
 //! | [`fig8`] | Fig. 8 — Beatrix anomaly index vs cr |
 //!
 //! Every experiment cell is described declaratively by a [`ScenarioSpec`]
-//! (profile × dataset × trigger × provider × unlearning method × cr × σ ×
-//! seed) and executed through a [`ScenarioCache`], so figures sweeping
-//! overlapping grids train each distinct cell once per process. The cache
-//! is `Send + Sync` and doubles as the parallel sweep executor
-//! ([`ScenarioCache::train_all`] / [`ScenarioCache::trio_all`]): every
-//! figure runner fans its grid's independent cells out across the
-//! `REVEIL_THREADS` worker team, bit-identical to a serial run. The
-//! binaries in `src/bin/` run the Quick profile by default
-//! (`REVEIL_PROFILE` overrides) and write CSVs under `target/experiments/`.
+//! (profile × dataset × trigger × unlearning method × cr × σ × seed) and
+//! executed through a [`ScenarioCache`], so figures sweeping overlapping
+//! grids train each distinct cell once per process. The cache is
+//! `Send + Sync` and doubles as the parallel sweep executor: each figure
+//! runner builds one spec list and hands it to one executor call
+//! ([`ScenarioCache::train_all`], [`ScenarioCache::averaged_all`],
+//! [`ScenarioCache::trio_all`] or [`ScenarioCache::audit_all`]), which
+//! fans the grid's independent cells out across the `REVEIL_THREADS`
+//! worker team, bit-identical to a serial run. The one suite binary,
+//! `reveil-experiments`, runs every artifact at the profile
+//! `REVEIL_PROFILE` names (Quick when unset) through one shared cache and
+//! writes CSVs under `target/experiments/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,14 +49,14 @@ pub mod table2;
 pub use error::EvalError;
 pub use profile::Profile;
 pub use runner::{
-    lock_scenario, ProviderKind, ProviderScenario, ScenarioCache, ScenarioResult, ScenarioSpec,
-    SharedScenario, TrainedScenario, TrioResult,
+    lock_scenario, ProviderScenario, ScenarioCache, ScenarioResult, ScenarioSpec, SharedScenario,
+    TrainedScenario, TrioResult,
 };
 // The unlearning-mechanism axis of `ScenarioSpec`, re-exported so harness
 // callers need no direct `reveil-unlearn` dependency.
 pub use reveil_unlearn::UnlearnMethod;
 
-/// The default base seed used by the experiment binaries.
+/// The default base seed of the experiment suite.
 pub const DEFAULT_SEED: u64 = 2025;
 
 /// All datasets in the paper's order (convenience re-export).

@@ -29,13 +29,15 @@ use reveil_triggers::{Trigger, TriggerKind};
 use reveil_unlearn::approximate::GradientAscentConfig;
 use reveil_unlearn::SisaConfig;
 
+use crate::error::EvalError;
+
 /// Scale at which an experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Profile {
     /// Seconds per cell; used by integration tests and criterion benches.
     Smoke,
-    /// A few seconds to a minute per cell; the default for the experiment
-    /// binaries.
+    /// A few seconds to a minute per cell; the default of
+    /// `reveil-experiments`.
     #[default]
     Quick,
     /// Paper-scale geometry (native class counts and image sizes, 100
@@ -44,17 +46,33 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Parses `REVEIL_PROFILE` (`smoke` / `quick` / `full`), defaulting to
-    /// [`Profile::Quick`].
-    pub fn from_env() -> Self {
-        match std::env::var("REVEIL_PROFILE")
-            .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "smoke" => Profile::Smoke,
-            "full" => Profile::Full,
-            _ => Profile::Quick,
+    /// Reads the profile from `REVEIL_PROFILE`: `smoke`, `quick` or `full`
+    /// in any case, with Quick when the variable is unset or empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvalError::InvalidSpec`] naming the accepted values for
+    /// anything else, so a mistyped profile stops a run before it trains.
+    pub fn from_env() -> Result<Self, EvalError> {
+        Self::parse(
+            &std::env::var_os("REVEIL_PROFILE")
+                .unwrap_or_default()
+                .to_string_lossy(),
+        )
+    }
+
+    /// [`Profile::from_env`]'s parsing, kept apart from the environment
+    /// read so tests can check it; the empty string stands for unset.
+    pub(crate) fn parse(value: &str) -> Result<Self, EvalError> {
+        match value.to_lowercase().as_str() {
+            "smoke" => Ok(Profile::Smoke),
+            "" | "quick" => Ok(Profile::Quick),
+            "full" => Ok(Profile::Full),
+            _ => Err(EvalError::InvalidSpec {
+                message: format!(
+                    "REVEIL_PROFILE must be smoke, quick or full (any case), got {value:?}"
+                ),
+            }),
         }
     }
 
@@ -340,9 +358,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_from_env_defaults_to_quick() {
-        // Environment is not set in tests.
-        assert_eq!(Profile::from_env(), Profile::Quick);
-        assert_eq!(Profile::Quick.label(), "quick");
+    fn profile_names_parse_in_any_case_and_typos_are_rejected() {
+        for profile in [Profile::Smoke, Profile::Quick, Profile::Full] {
+            assert_eq!(Profile::parse(profile.label()), Ok(profile));
+            assert_eq!(Profile::parse(&profile.label().to_uppercase()), Ok(profile));
+        }
+        assert_eq!(Profile::parse(""), Ok(Profile::Quick), "unset is Quick");
+        let err = Profile::parse("smok").unwrap_err();
+        assert!(matches!(err, EvalError::InvalidSpec { .. }));
+        assert!(err.to_string().contains("smoke, quick or full"), "{err}");
     }
 }

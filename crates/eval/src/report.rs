@@ -3,6 +3,10 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use reveil_triggers::TriggerKind;
+
+use crate::fig3::CR_VALUES;
+
 /// A rectangular text table with a header row.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
@@ -99,12 +103,14 @@ impl TextTable {
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from creating the directory or file.
+    /// Returns any I/O error from creating the directory or file, with
+    /// the file's path in its message.
     pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
         let dir = output_dir();
-        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, self.to_csv())?;
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, self.to_csv()))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
         Ok(path)
     }
 }
@@ -119,6 +125,21 @@ pub fn output_dir() -> PathBuf {
     } else {
         PathBuf::from("reveil-experiments")
     }
+}
+
+/// Renders one dataset's attack × cr grid (Figs. 3 and 6–8): a row per
+/// attack of [`TriggerKind::ALL`], a column per [`CR_VALUES`] entry, each
+/// value formatted by `cell`.
+pub(crate) fn attack_cr_table(values: &[Vec<f32>], cell: fn(f32) -> String) -> TextTable {
+    let mut header = vec!["Attack".to_string()];
+    header.extend(CR_VALUES.iter().map(|cr| format!("cr={cr}")));
+    let mut table = TextTable::new(header);
+    for (trigger, row) in TriggerKind::ALL.iter().zip(values) {
+        let mut cells = vec![format!("{} ({})", trigger.paper_id(), trigger.label())];
+        cells.extend(row.iter().copied().map(cell));
+        table.push_row(cells);
+    }
+    table
 }
 
 /// Formats a percentage with the paper's two-decimal convention.

@@ -1,7 +1,7 @@
 //! The declarative scenario API shared by every experiment.
 //!
 //! An experiment cell is fully described by a [`ScenarioSpec`]:
-//! `(profile, dataset, trigger, provider, unlearning method, cr, σ, seed)`.
+//! `(profile, dataset, trigger, unlearning method, cr, σ, seed)`.
 //! All randomness (data generation, sample selection, model init,
 //! shuffling) is split from the single cell seed, so any cell is replayable
 //! in isolation, and figures that request the same cell share the trained
@@ -14,18 +14,14 @@
 //! while the per-cell seed streams keep every artifact bit-identical to a
 //! serial run.
 //!
-//! The provider axis decides who trains the victim:
-//!
-//! * [`ProviderKind::Monolithic`] — one network trained on the submitted
-//!   data ([`ScenarioSpec::train`]; what Table II and Figs. 2–4/6–8
-//!   measure);
-//! * [`ProviderKind::Sisa`] — a SISA-sharded, unlearning-capable provider
-//!   ([`ScenarioSpec::train_provider`]; what Fig. 5 measures).
-//!
-//! The unlearning-method axis ([`UnlearnMethod`]) selects the mechanism a
-//! restoration run drives through the object-safe
-//! [`Unlearner`] trait: exact SISA rollback,
-//! full retraining, gradient ascent, or retain-set fine-tuning.
+//! [`ScenarioSpec::train`] always trains one monolithic network on the
+//! submitted data (what Table II and Figs. 2–4/6–8 measure). The
+//! unlearning-method axis ([`UnlearnMethod`]) decides the provider of a
+//! restoration run ([`ScenarioSpec::train_provider`] /
+//! [`ScenarioSpec::restoration_trio`]; what Fig. 5 measures) and the
+//! mechanism it drives through the object-safe [`Unlearner`] trait: exact
+//! SISA rollback on a SISA-sharded provider, or full retraining, gradient
+//! ascent or retain-set fine-tuning of a monolithic one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,26 +64,6 @@ impl ScenarioResult {
             ba: results.iter().map(|r| r.ba).sum::<f32>() / n,
             asr: results.iter().map(|r| r.asr).sum::<f32>() / n,
         })
-    }
-}
-
-/// Who trains the victim model of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum ProviderKind {
-    /// One monolithic network trained on the submitted dataset.
-    #[default]
-    Monolithic,
-    /// A SISA-sharded ensemble (supports exact unlearning natively).
-    Sisa,
-}
-
-impl ProviderKind {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProviderKind::Monolithic => "monolithic",
-            ProviderKind::Sisa => "sisa",
-        }
     }
 }
 
@@ -234,8 +210,7 @@ fn measure(
 }
 
 /// Declarative description of one experiment cell:
-/// profile × dataset × trigger × provider × unlearning method × cr × σ ×
-/// seed.
+/// profile × dataset × trigger × unlearning method × cr × σ × seed.
 ///
 /// Built fluently, then executed through [`ScenarioSpec::train`] (plain
 /// monolithic victim), [`ScenarioCache::trained`] (shared across figures),
@@ -277,9 +252,9 @@ pub struct ScenarioSpec {
     pub dataset: DatasetKind,
     /// Trigger kind (A1–A4).
     pub trigger: TriggerKind,
-    /// Who trains the victim.
-    pub provider: ProviderKind,
-    /// Unlearning mechanism for restoration runs.
+    /// Unlearning mechanism for restoration runs; it also picks their
+    /// provider (SISA unlearning runs on a SISA provider, every other
+    /// mechanism on a monolithic one).
     pub unlearner: UnlearnMethod,
     /// Camouflage ratio `cr = |D_C| / |D_P|` (0 = poison only).
     pub cr: f32,
@@ -290,14 +265,13 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Creates a spec with the paper's defaults: monolithic provider, SISA
-    /// unlearning, cr = 5, σ = 1e-3, seed 0.
+    /// Creates a spec with the paper's defaults: SISA unlearning, cr = 5,
+    /// σ = 1e-3, seed 0.
     pub fn new(profile: Profile, dataset: DatasetKind, trigger: TriggerKind) -> Self {
         Self {
             profile,
             dataset,
             trigger,
-            provider: ProviderKind::Monolithic,
             unlearner: UnlearnMethod::Sisa,
             cr: 5.0,
             sigma: 1e-3,
@@ -326,25 +300,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the provider kind (builder style). Prefer
-    /// [`ScenarioSpec::with_unlearner`], which keeps the provider coherent
-    /// with the mechanism automatically.
-    #[must_use]
-    pub fn with_provider(mut self, provider: ProviderKind) -> Self {
-        self.provider = provider;
-        self
-    }
-
-    /// Sets the unlearning mechanism and the provider shape it needs:
-    /// SISA unlearning runs on a SISA provider, every other mechanism on a
-    /// monolithic one (builder style).
+    /// Sets the unlearning mechanism of restoration runs. It leaves the
+    /// monolithic cell of [`ScenarioSpec::train`] unchanged.
     #[must_use]
     pub fn with_unlearner(mut self, method: UnlearnMethod) -> Self {
         self.unlearner = method;
-        self.provider = match method {
-            UnlearnMethod::Sisa => ProviderKind::Sisa,
-            _ => ProviderKind::Monolithic,
-        };
         self
     }
 
@@ -365,28 +325,6 @@ impl ScenarioSpec {
             });
         }
         Ok(())
-    }
-
-    /// The provider shape an unlearning-backed run of this spec uses: the
-    /// SISA mechanism ships its own sharded provider, every other
-    /// mechanism unlearns a monolithic model. A plain `Monolithic` spec
-    /// with the (default) SISA method therefore upgrades to a SISA
-    /// provider for `train_provider`/`restoration_trio` — only the
-    /// explicit contradiction (a SISA provider asked to run a monolithic
-    /// mechanism) is rejected.
-    fn effective_provider(&self) -> Result<ProviderKind, EvalError> {
-        match (self.provider, self.unlearner) {
-            (_, UnlearnMethod::Sisa) => Ok(ProviderKind::Sisa),
-            (ProviderKind::Monolithic, _) => Ok(ProviderKind::Monolithic),
-            (ProviderKind::Sisa, method) => Err(EvalError::InvalidSpec {
-                message: format!(
-                    "unlearning method '{}' unlearns a monolithic model and cannot \
-                     run on a SISA provider (use with_unlearner, which selects the \
-                     matching provider)",
-                    method.label()
-                ),
-            }),
-        }
     }
 
     fn attack_config(&self) -> AttackConfig {
@@ -432,20 +370,9 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::InvalidSpec`] if the provider axis is not
-    /// monolithic (SISA providers live behind
-    /// [`ScenarioSpec::train_provider`]) and propagates attack/crafting
-    /// failures.
+    /// Returns [`EvalError::InvalidSpec`] for invalid cr/σ and propagates
+    /// attack/crafting failures.
     pub fn train(&self) -> Result<TrainedScenario, EvalError> {
-        if self.provider != ProviderKind::Monolithic {
-            return Err(EvalError::InvalidSpec {
-                message: format!(
-                    "ScenarioSpec::train builds monolithic victims; a {} provider \
-                     is trained via train_provider/restoration_trio",
-                    self.provider.label()
-                ),
-            });
-        }
         let (data_cfg, pair, attack, _payload, training) = self.stage_attack()?;
         let mut network =
             self.profile
@@ -470,10 +397,8 @@ impl ScenarioSpec {
 
     /// The per-seed replicate specs an [`ScenarioSpec::averaged`] run
     /// sweeps: `profile.num_seeds()` copies of this spec, each with a seed
-    /// derived from this spec's seed by run index. Figure runners expand
-    /// their grids through this before handing the flattened list to
-    /// [`ScenarioCache::train_all`], so replicates train in parallel too.
-    pub fn seed_replicates(&self) -> Vec<ScenarioSpec> {
+    /// derived from this spec's seed by run index.
+    fn seed_replicates(&self) -> Vec<ScenarioSpec> {
         (0..self.profile.num_seeds() as u64)
             .map(|run| self.with_seed(rng::derive_seed(self.seed, run)))
             .collect()
@@ -563,11 +488,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::InvalidSpec`] for a contradictory
-    /// provider×method combination and propagates attack/training
-    /// failures.
+    /// Propagates attack/training failures.
     pub fn train_provider(&self) -> Result<ProviderScenario, EvalError> {
-        self.effective_provider()?;
         let (_data_cfg, pair, attack, _payload, training) = self.stage_attack()?;
         let provider = self.provider_on(&training.dataset)?;
         Ok(ProviderScenario {
@@ -579,7 +501,7 @@ impl ScenarioSpec {
     }
 
     /// Runs the poisoning → camouflaging → unlearning trio of Fig. 5 with
-    /// this spec's provider and unlearning method.
+    /// this spec's unlearning method and the provider it needs.
     ///
     /// All three stages use the same provider shape, so the comparison
     /// isolates the data composition: (1) clean + poison, (2) the full
@@ -589,11 +511,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`EvalError::InvalidSpec`] for a contradictory
-    /// provider×method combination and propagates
-    /// attack/training/unlearning failures.
+    /// Propagates attack/training/unlearning failures.
     pub fn restoration_trio(&self) -> Result<TrioResult, EvalError> {
-        self.effective_provider()?;
         let (_data_cfg, pair, attack, payload, training) = self.stage_attack()?;
 
         // Scenario 1: poison only.
@@ -623,8 +542,8 @@ impl ScenarioSpec {
     }
 }
 
-/// The `dataset × trigger × cr` spec grid the defense figures (6–8)
-/// sweep at σ = 1e-3, flattened in the figures' iteration order.
+/// The `dataset × trigger × cr` spec grid that Table II and Figs. 3 and
+/// 6–8 sweep at σ = 1e-3, flattened dataset-major, then trigger-major.
 pub(crate) fn grid_specs(
     profile: Profile,
     datasets: &[DatasetKind],
@@ -645,6 +564,45 @@ pub(crate) fn grid_specs(
             })
         })
         .collect()
+}
+
+/// Splits one value per [`grid_specs`] spec into `[dataset][trigger][cr]`.
+pub(crate) fn split_grid(
+    values: impl IntoIterator<Item = f32>,
+    datasets: usize,
+    triggers: usize,
+    crs: usize,
+) -> Vec<Vec<Vec<f32>>> {
+    let mut values = values.into_iter();
+    (0..datasets)
+        .map(|_| {
+            (0..triggers)
+                .map(|_| values.by_ref().take(crs).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// The audit sweep of Figs. 6–8: audits the [`grid_specs`] grid with one
+/// detector through [`ScenarioCache::audit_all`] at the profile's defense
+/// budget and returns the verdict scores as `[dataset][trigger][cr]`.
+pub(crate) fn audit_grid(
+    cache: &ScenarioCache,
+    defense: &(dyn Defense + Sync),
+    profile: Profile,
+    datasets: &[DatasetKind],
+    triggers: &[TriggerKind],
+    crs: &[f32],
+    base_seed: u64,
+) -> Result<Vec<Vec<Vec<f32>>>, EvalError> {
+    let specs = grid_specs(profile, datasets, triggers, crs, base_seed);
+    let verdicts = cache.audit_all(&specs, defense, profile.defense_sample_count())?;
+    Ok(split_grid(
+        verdicts.iter().map(|v| v.score),
+        datasets.len(),
+        triggers.len(),
+        crs.len(),
+    ))
 }
 
 /// A shared, lockable trained cell (defense audits and GradCAM need
@@ -687,12 +645,11 @@ impl CellKey {
     }
 }
 
-/// Trio cache key: the cell axes plus the provider/unlearning axes the
-/// restoration lifecycle depends on.
+/// Trio cache key: the cell axes plus the unlearning method, which also
+/// fixes the provider the restoration lifecycle trains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TrioKey {
     cell: CellKey,
-    provider: ProviderKind,
     unlearner: UnlearnMethod,
 }
 
@@ -700,13 +657,6 @@ impl TrioKey {
     fn of(spec: &ScenarioSpec) -> Self {
         Self {
             cell: CellKey::of(spec),
-            // Key on the provider shape the trio will actually run: a
-            // default Monolithic spec with the SISA mechanism upgrades to a
-            // SISA provider (see `effective_provider`), so it must share a
-            // key with the explicitly-SISA spelling of the same trio. The
-            // contradictory combination errors before anything is cached,
-            // so its fallback key never stores an artifact.
-            provider: spec.effective_provider().unwrap_or(spec.provider),
             unlearner: spec.unlearner,
         }
     }
@@ -805,7 +755,7 @@ fn sweep_pending<K: Ord + Copy, T>(
 /// `(profile, dataset, trigger, cr, σ, seed)` grids; running them against
 /// one shared cache trains every distinct cell exactly once per process
 /// instead of once per figure. Fig. 5's restoration trios are cached the
-/// same way under their additional provider/unlearning axes. Cells stay
+/// same way under their additional unlearning-method axis. Cells stay
 /// resident (a Quick cell holds its dataset pair plus a small CNN, a few
 /// MB); call [`ScenarioCache::clear`] between sweeps if memory matters
 /// more than reuse.
@@ -863,7 +813,7 @@ impl ScenarioCache {
     /// Closes the "Fig. 5 retrains three models per cell per run" gap: a
     /// trio cell (three provider trainings plus an unlearning request) is
     /// executed once per distinct
-    /// `(profile, dataset, trigger, provider, unlearner, cr, σ, seed)` key
+    /// `(profile, dataset, trigger, unlearner, cr, σ, seed)` key
     /// and its [`TrioResult`] is shared afterwards.
     ///
     /// # Errors
@@ -945,6 +895,25 @@ impl ScenarioCache {
             |spec| self.trio(spec).map(|_| ()),
         )?;
         specs.iter().map(|spec| self.trio(spec)).collect()
+    }
+
+    /// [`ScenarioSpec::averaged`] for every spec of `specs`, in input
+    /// order: one [`train_all`] fan-out trains the seed replicates of the
+    /// whole list first, so Table II and Figs. 3–4 each run one executor
+    /// call.
+    ///
+    /// [`train_all`]: ScenarioCache::train_all
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing cell's error, in spec order.
+    pub fn averaged_all(&self, specs: &[ScenarioSpec]) -> Result<Vec<ScenarioResult>, EvalError> {
+        let replicates: Vec<ScenarioSpec> = specs
+            .iter()
+            .flat_map(ScenarioSpec::seed_replicates)
+            .collect();
+        self.train_all(&replicates)?;
+        specs.iter().map(|spec| spec.averaged(self)).collect()
     }
 
     /// Audits every cell of `specs` with `defense` across the worker team
@@ -1094,42 +1063,39 @@ mod tests {
     }
 
     #[test]
-    fn contradictory_provider_method_combinations_are_rejected() {
-        // A SISA provider cannot execute a monolithic-model mechanism.
-        let spec = smoke_spec(TriggerKind::BadNets, 5.0, 1)
-            .with_unlearner(UnlearnMethod::Finetune)
-            .with_provider(ProviderKind::Sisa);
-        assert!(matches!(
-            spec.restoration_trio().unwrap_err(),
-            EvalError::InvalidSpec { .. }
-        ));
-        // The SISA mechanism brings its own sharded provider, so the
-        // default (Monolithic, Sisa) spec upgrades instead of erroring.
-        assert_eq!(
-            smoke_spec(TriggerKind::BadNets, 5.0, 1)
-                .effective_provider()
-                .unwrap(),
-            ProviderKind::Sisa
-        );
-        // train() on a SISA provider points at the provider API instead.
-        let spec = smoke_spec(TriggerKind::BadNets, 5.0, 1).with_provider(ProviderKind::Sisa);
-        assert!(matches!(
-            spec.train().unwrap_err(),
-            EvalError::InvalidSpec { .. }
-        ));
+    fn every_unlearner_spelling_trains_the_same_cell() {
+        // The unlearning method only shapes restoration runs: every
+        // spelling shares the plain spec's cache slot, whichever asks
+        // first, and trains the plain spec's monolithic cell.
+        let plain = smoke_spec(TriggerKind::BadNets, 5.0, 1);
+        let cache = ScenarioCache::new();
+        for method in UnlearnMethod::ALL {
+            cache.trained(&plain.with_unlearner(method)).unwrap();
+        }
+        let cached = lock_scenario(&cache.trained(&plain).unwrap()).result;
+        assert_eq!(cache.trainings(), 1, "one cell for every spelling");
+        for method in UnlearnMethod::ALL {
+            let trained = plain.with_unlearner(method).train().unwrap().result;
+            assert_eq!(trained, cached, "{method}");
+        }
     }
 
     #[test]
-    fn with_unlearner_keeps_the_provider_coherent() {
-        let spec = smoke_spec(TriggerKind::BadNets, 5.0, 1);
-        assert_eq!(
-            spec.with_unlearner(UnlearnMethod::Sisa).provider,
-            ProviderKind::Sisa
-        );
-        assert_eq!(
-            spec.with_unlearner(UnlearnMethod::Finetune).provider,
-            ProviderKind::Monolithic
-        );
+    fn averaged_all_matches_per_spec_averages_in_input_order() {
+        let base = smoke_spec(TriggerKind::BadNets, 5.0, 6);
+        let specs = [base, base.with_sigma(1e-1), base];
+        let cache = ScenarioCache::new();
+        let all = cache.averaged_all(&specs).unwrap();
+        let replicates = 2 * Profile::Smoke.num_seeds();
+        assert_eq!(cache.trainings(), replicates, "one per distinct replicate");
+        let bits = |r: &ScenarioResult| (r.ba.to_bits(), r.asr.to_bits());
+        let each: Vec<_> = specs
+            .iter()
+            .map(|spec| spec.averaged(&cache).map(|r| bits(&r)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(all.iter().map(bits).collect::<Vec<_>>(), each);
+        assert_eq!(cache.trainings(), replicates, "every replicate was cached");
     }
 
     #[test]

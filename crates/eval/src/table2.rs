@@ -6,7 +6,7 @@ use reveil_triggers::TriggerKind;
 use crate::error::EvalError;
 use crate::profile::Profile;
 use crate::report::{pct, TextTable};
-use crate::runner::{ScenarioCache, ScenarioResult, ScenarioSpec};
+use crate::runner::{grid_specs, ScenarioCache, ScenarioResult};
 
 /// One dataset's Table II block: poison and camouflage rows per attack.
 #[derive(Debug, Clone)]
@@ -22,9 +22,9 @@ pub struct Table2Row {
 /// Runs Table II at a profile.
 ///
 /// `datasets` selects the evaluated datasets (all four for the paper
-/// layout; subsets for quicker runs). The full
-/// `dataset × attack × {poison, camouflage} × seed` grid is trained up
-/// front by the parallel sweep executor; progress is logged to stderr.
+/// layout; subsets for quicker runs). The whole
+/// `dataset × attack × {poison, camouflage}` grid goes through one
+/// [`ScenarioCache::averaged_all`] call.
 ///
 /// # Errors
 ///
@@ -35,46 +35,18 @@ pub fn run(
     datasets: &[DatasetKind],
     base_seed: u64,
 ) -> Result<Vec<Table2Row>, EvalError> {
-    let grid: Vec<ScenarioSpec> = datasets
+    let specs = grid_specs(profile, datasets, &TriggerKind::ALL, &[0.0, 5.0], base_seed);
+    let results = cache.averaged_all(&specs)?;
+    // Each dataset's block alternates (poison, camouflage) per attack.
+    Ok(datasets
         .iter()
-        .flat_map(|&kind| {
-            TriggerKind::ALL.iter().flat_map(move |trigger| {
-                let spec = ScenarioSpec::new(profile, kind, *trigger)
-                    .with_sigma(1e-3)
-                    .with_seed(base_seed);
-                [spec.with_cr(0.0), spec.with_cr(5.0)]
-                    .iter()
-                    .flat_map(ScenarioSpec::seed_replicates)
-                    .collect::<Vec<_>>()
-            })
+        .zip(results.chunks(2 * TriggerKind::ALL.len()))
+        .map(|(&dataset, block)| Table2Row {
+            dataset,
+            poison: block.iter().step_by(2).copied().collect(),
+            camouflage: block.iter().skip(1).step_by(2).copied().collect(),
         })
-        .collect();
-    cache.train_all(&grid)?;
-    datasets
-        .iter()
-        .map(|&kind| {
-            let mut poison = Vec::new();
-            let mut camouflage = Vec::new();
-            for trigger in TriggerKind::ALL {
-                let spec = ScenarioSpec::new(profile, kind, trigger)
-                    .with_sigma(1e-3)
-                    .with_seed(base_seed);
-                eprintln!("[table2] {} / {} (poison)", kind.label(), trigger.label());
-                poison.push(spec.with_cr(0.0).averaged(cache)?);
-                eprintln!(
-                    "[table2] {} / {} (camouflage)",
-                    kind.label(),
-                    trigger.label()
-                );
-                camouflage.push(spec.with_cr(5.0).averaged(cache)?);
-            }
-            Ok(Table2Row {
-                dataset: kind,
-                poison,
-                camouflage,
-            })
-        })
-        .collect()
+        .collect())
 }
 
 /// Renders the results in the paper's layout: one row per

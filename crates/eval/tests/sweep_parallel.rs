@@ -117,9 +117,8 @@ fn trio_executor_caches_and_matches_direct_runs() {
     assert_eq!(cache.trio(&spec).expect("cached trio"), direct);
     assert_eq!(cache.trio_trainings(), 1);
 
-    // The same trio spelled with the default provider axis (Monolithic +
-    // SISA mechanism upgrades to a SISA provider) must share the cache
-    // key — not retrain three models.
+    // The same trio spelled without `with_unlearner` (SISA is the default
+    // method) must share the cache key — not retrain three models.
     let default_axes = ScenarioSpec::new(
         Profile::Smoke,
         DatasetKind::Cifar10Like,
@@ -130,7 +129,7 @@ fn trio_executor_caches_and_matches_direct_runs() {
     assert_eq!(
         cache.trio_trainings(),
         1,
-        "provider-normalised key must dedupe the default-axes spelling"
+        "the default-method spelling must share the trio's cache key"
     );
 }
 
