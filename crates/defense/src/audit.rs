@@ -52,6 +52,33 @@ impl<'a> AuditInputs<'a> {
     }
 }
 
+/// Checks that every image of the `what` set has the network's `[c, h, w]`
+/// input shape. Each detector calls this before its first forward pass,
+/// so mismatched evidence is an error rather than a panic inside the
+/// network's first layer.
+///
+/// # Errors
+///
+/// Returns [`DefenseError::Internal`] naming the first mismatched image.
+pub(crate) fn check_geometry(
+    defense: &'static str,
+    network: &Network,
+    what: &'static str,
+    images: &[Tensor],
+) -> Result<(), DefenseError> {
+    let (c, h, w) = network.input_shape();
+    match images.iter().position(|img| img.shape() != [c, h, w]) {
+        None => Ok(()),
+        Some(i) => Err(DefenseError::Internal {
+            defense,
+            message: format!(
+                "{what} image {i} has shape {:?}, but the network takes [{c}, {h}, {w}] images",
+                images[i].shape()
+            ),
+        }),
+    }
+}
+
 /// A defense's model-level verdict, normalised across detectors: the score
 /// is the quantity the paper plots (STRIP decision value, Neural Cleanse /
 /// Beatrix anomaly index) and `detected` is the detector's own judgement
@@ -187,6 +214,40 @@ mod tests {
         let beatrix = BeatrixAuditor::new(BeatrixConfig::default());
         let err = beatrix.audit(&mut net, &inputs).unwrap_err();
         assert!(matches!(err, DefenseError::EmptyInput { .. }), "{err}");
+    }
+
+    /// Audits a 3-channel network with the 1-channel toy images: the
+    /// detector must return an error naming the network's input shape
+    /// instead of panicking inside the first convolution.
+    fn assert_rejects_mismatched_geometry(defense: &dyn Defense) {
+        let data = toy_dataset(12, 5);
+        let suspects: Vec<Tensor> = data.images()[..4].to_vec();
+        let mut net = models::tiny_cnn(3, 8, 8, 2, 8, 3);
+        let err = defense
+            .audit(&mut net, &AuditInputs::new(&data, &suspects, 8))
+            .unwrap_err();
+        assert!(
+            matches!(&err, DefenseError::Internal { message, .. } if message.contains("[3, 8, 8]")),
+            "{}: {err}",
+            defense.name()
+        );
+    }
+
+    #[test]
+    fn strip_rejects_images_of_another_geometry() {
+        assert_rejects_mismatched_geometry(&StripAuditor::new(StripConfig::default()));
+    }
+
+    #[test]
+    fn neural_cleanse_rejects_images_of_another_geometry() {
+        assert_rejects_mismatched_geometry(&NeuralCleanseAuditor::new(
+            NeuralCleanseConfig::default(),
+        ));
+    }
+
+    #[test]
+    fn beatrix_rejects_images_of_another_geometry() {
+        assert_rejects_mismatched_geometry(&BeatrixAuditor::new(BeatrixConfig::default()));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use reveil_nn::{Mode, Network};
 use reveil_tensor::ops::{argmax_rows_into, softmax_rows_into};
 use reveil_tensor::Tensor;
 
-use crate::audit::{AuditInputs, Defense, DefenseVerdict};
+use crate::audit::{check_geometry, AuditInputs, Defense, DefenseVerdict};
 use crate::scratch::{stack_into, ScratchPool};
 use crate::stats;
 use crate::DefenseError;
@@ -427,6 +427,8 @@ fn run(
             ),
         });
     }
+    check_geometry("Beatrix", network, "clean calibration", clean.images())?;
+    check_geometry("Beatrix", network, "suspect", suspects)?;
     let BeatrixScratch {
         calib_indices,
         calib_labels,
@@ -622,9 +624,10 @@ impl BeatrixAuditor {
     /// empty, [`DefenseError::InvalidConfig`] if `orders` is empty,
     /// `samples_per_class` is below 2, or no class has the two calibration
     /// samples an envelope needs, and [`DefenseError::Internal`] if the
-    /// network's class count differs from the clean set's, the substrate
-    /// cannot stack the evidence, or the network exposes no attributable
-    /// activation.
+    /// network's class count differs from the clean set's, a clean or
+    /// suspect image's shape is not the network's input shape, the
+    /// substrate cannot stack the evidence, or the network exposes no
+    /// attributable activation.
     pub fn report(
         &self,
         network: &mut Network,

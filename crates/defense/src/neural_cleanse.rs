@@ -4,7 +4,7 @@ use reveil_nn::loss::softmax_cross_entropy_into;
 use reveil_nn::Network;
 use reveil_tensor::{rng, Tensor};
 
-use crate::audit::{AuditInputs, Defense, DefenseVerdict};
+use crate::audit::{check_geometry, AuditInputs, Defense, DefenseVerdict};
 use crate::scratch::{stack_into, ScratchPool};
 use crate::stats;
 use crate::DefenseError;
@@ -43,8 +43,10 @@ pub struct ClassTriggerResult {
     pub class: usize,
     /// L1 norm of the final mask — NC's trigger-size proxy.
     pub mask_l1: f32,
-    /// Final classification loss towards the class (how well the trigger
-    /// works).
+    /// Classification loss towards the class (how well the trigger
+    /// works), taken from the last optimisation step's forward pass,
+    /// before that step's update. Its mask is therefore one step older
+    /// than the final mask that `mask_l1` measures.
     pub loss: f32,
 }
 
@@ -269,8 +271,7 @@ fn reverse_engineer(
         let loss = softmax_cross_entropy_into(logits, labels, grad_logits)
             .map_err(|e| DefenseError::internal("Neural Cleanse", e))?;
         final_loss = loss;
-        network.zero_grads();
-        network.backward_to_input_into(grad_logits, grad_input);
+        network.backward_input_into(grad_logits, grad_input);
 
         // Chain rule into mask and pattern space.
         grad_mask.clear();
@@ -330,6 +331,12 @@ fn run(
             message: "steps must be positive (zero steps never optimises a trigger)".to_string(),
         });
     }
+    check_geometry(
+        "Neural Cleanse",
+        network,
+        "clean calibration",
+        clean_samples,
+    )?;
     let mut r = rng::rng_from_seed(rng::derive_seed(config.seed, 0x004C_115E));
     let count = config.sample_count.min(clean_samples.len()).max(1);
     rng::sample_indices_into(clean_samples.len(), count, &mut r, &mut scratch.picks);
@@ -419,8 +426,9 @@ impl NeuralCleanseAuditor {
     /// undefined), [`DefenseError::InvalidConfig`] if `steps` is zero (no
     /// trigger is reverse-engineered, so every mask norm is the random
     /// initialisation and the anomaly index is meaningless), and
-    /// [`DefenseError::Internal`] for substrate failures (unstackable
-    /// samples, a zero-class network, a diverged optimisation).
+    /// [`DefenseError::Internal`] for a clean image whose shape is not the
+    /// network's input shape and for substrate failures (a zero-class
+    /// network, a diverged optimisation).
     pub fn report(
         &self,
         network: &mut Network,
@@ -584,6 +592,22 @@ mod tests {
         let a = neural_cleanse(&mut net, &clean, &cfg).unwrap();
         let b = neural_cleanse(&mut net, &clean, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn audit_leaves_the_parameter_gradients_untouched() {
+        const SENTINEL: f32 = -1234.5;
+        let mut net = models::tiny_cnn(1, 8, 8, 3, 8, 3);
+        net.visit_params(&mut |p| p.grad_mut().data_mut().fill(SENTINEL));
+        let clean = toy_dataset(12, 9, 3);
+        let config = NeuralCleanseConfig {
+            steps: 3,
+            ..NeuralCleanseConfig::default()
+        };
+        neural_cleanse(&mut net, &clean, &config).unwrap();
+        let mut untouched = true;
+        net.visit_params(&mut |p| untouched &= p.grad().data().iter().all(|&g| g == SENTINEL));
+        assert!(untouched, "the audit wrote a parameter gradient");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use rand::Rng;
 use reveil_nn::Network;
 use reveil_tensor::{ops, rng, Tensor};
 
-use crate::audit::{AuditInputs, Defense, DefenseVerdict};
+use crate::audit::{check_geometry, AuditInputs, Defense, DefenseVerdict};
 use crate::scratch::ScratchPool;
 use crate::stats;
 use crate::DefenseError;
@@ -125,16 +125,6 @@ impl StripScratch {
         self.batch.resize_for_overwrite(&self.shape);
         for slot in 0..config.num_overlays {
             let overlay = &overlay_pool[rng.gen_range(0..overlay_pool.len())];
-            if overlay.shape() != input.shape() {
-                return Err(DefenseError::Internal {
-                    defense: "STRIP",
-                    message: format!(
-                        "overlay shape {:?} does not match input shape {:?}",
-                        overlay.shape(),
-                        input.shape()
-                    ),
-                });
-            }
             let dst = &mut self.batch.data_mut()[slot * sample_len..(slot + 1) * sample_len];
             for ((d, &a), &b) in dst.iter_mut().zip(input.data()).zip(overlay.data()) {
                 *d = (config.blend * a + (1.0 - config.blend) * b).clamp(0.0, 1.0);
@@ -217,6 +207,10 @@ fn run(
             ),
         });
     }
+    // Every overlay and suspect has the network's input shape from here
+    // on, so the blends below need no shape checks of their own.
+    check_geometry("STRIP", network, "clean calibration", clean_holdout)?;
+    check_geometry("STRIP", network, "suspect", suspects)?;
     let mut overlay_rng = rng::rng_from_seed(rng::derive_seed(config.seed, 0x0005_7F10));
 
     // The clean and suspect sets share one RNG stream in this order, and
@@ -283,8 +277,8 @@ impl StripAuditor {
     /// [`DefenseError::InvalidConfig`] if `num_overlays` is zero or `frr`,
     /// `detection_far` or `blend` lies outside `[0, 1]` (each would
     /// otherwise yield a NaN or meaningless decision value), and
-    /// [`DefenseError::Internal`] if an overlay's shape disagrees with the
-    /// audited inputs or the model's predictions are not finite.
+    /// [`DefenseError::Internal`] if a clean or suspect image's shape is not
+    /// the network's input shape or the model's predictions are not finite.
     pub fn report(
         &self,
         network: &mut Network,

@@ -131,19 +131,21 @@ fn resize_bilinear(map: &Tensor, out_h: usize, out_w: usize) -> Tensor {
 ///
 /// # Errors
 ///
-/// Returns [`ExplainError`] if `image` is not `[c, h, w]`, `class` is out
-/// of range, or the backbone has no spatial activation (e.g. an MLP probe).
+/// Returns [`ExplainError`] if `image` does not have the network's
+/// `[c, h, w]` input shape, `class` is out of range, or the backbone has no
+/// spatial activation (e.g. an MLP probe).
 pub fn grad_cam(
     network: &mut Network,
     image: &Tensor,
     class: usize,
 ) -> Result<CamMap, ExplainError> {
-    let &[_, h, w] = image.shape() else {
+    let (c, h, w) = network.input_shape();
+    if image.shape() != [c, h, w] {
         return Err(ExplainError::BadShape {
-            expected: "a [c, h, w] image",
+            expected: "an image of the network's [c, h, w] input shape",
             got: image.shape().to_vec(),
         });
-    };
+    }
     if class >= network.num_classes() {
         return Err(ExplainError::ClassOutOfRange {
             class,
@@ -155,8 +157,8 @@ pub fn grad_cam(
     let logits = network.forward(&batch, Mode::Eval);
     let mut grad_logits = Tensor::zeros(logits.shape());
     grad_logits.data_mut()[class] = 1.0;
-    network.zero_grads();
-    let _ = network.backward_to_input(&grad_logits);
+    let mut grad_input = Tensor::default();
+    network.backward_input_into(&grad_logits, &mut grad_input);
 
     // The backbone's boundary buffers still hold this pass: each interior
     // activation and, at the same index, the gradient of the class logit
@@ -240,6 +242,16 @@ mod tests {
         assert!(matches!(
             grad_cam(&mut mlp, &image, 1),
             Err(ExplainError::NoSpatialActivation)
+        ));
+    }
+
+    #[test]
+    fn image_of_another_geometry_is_an_error() {
+        let mut net = models::tiny_cnn(3, 8, 8, 4, 4, 7);
+        let image = Tensor::zeros(&[1, 8, 8]);
+        assert!(matches!(
+            grad_cam(&mut net, &image, 0),
+            Err(ExplainError::BadShape { got, .. }) if got == [1, 8, 8]
         ));
     }
 

@@ -34,7 +34,7 @@ pub struct BatchNorm2d {
     var: Vec<f32>,
     /// Per-channel 1/√(var + ε) used in the forward pass.
     inv_std: Vec<f32>,
-    /// Per-channel dγ / dβ accumulators (backward scratch).
+    /// Per-channel sums Σ(g·x̂) and Σg (backward scratch): dγ and dβ.
     dgamma: Vec<f32>,
     dbeta: Vec<f32>,
     input_shape: Vec<usize>,
@@ -84,6 +84,73 @@ impl BatchNorm2d {
     /// Current running variance (one value per channel).
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
+    }
+
+    /// Panics unless a forward pass of `grad_output`'s shape preceded.
+    fn check_grad_output(&self, grad_output: &Tensor) {
+        if !self.ready {
+            backward_before_forward("BatchNorm2d");
+        }
+        check_backward_shape("BatchNorm2d", &self.input_shape, grad_output.shape());
+    }
+
+    /// Sums `g·x̂` and `g` per channel into `dgamma` / `dbeta`: the γ and β
+    /// gradients, which the train-mode input gradient also reads.
+    fn channel_sums(&mut self, grad_output: &Tensor) {
+        let (n, c) = (self.input_shape[0], self.input_shape[1]);
+        let plane = self.input_shape[2] * self.input_shape[3];
+        self.dgamma.clear();
+        self.dgamma.resize(c, 0.0);
+        self.dbeta.clear();
+        self.dbeta.resize(c, 0.0);
+        for img in 0..n {
+            for ch in 0..c {
+                let base = (img * c + ch) * plane;
+                for i in base..base + plane {
+                    self.dgamma[ch] += grad_output.data()[i] * self.x_hat.data()[i];
+                    self.dbeta[ch] += grad_output.data()[i];
+                }
+            }
+        }
+    }
+
+    /// The input gradient both backward methods write. In train mode it
+    /// reads the per-channel sums of [`BatchNorm2d::channel_sums`].
+    fn input_grad_into(&self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        let (n, c) = (self.input_shape[0], self.input_shape[1]);
+        let plane = self.input_shape[2] * self.input_shape[3];
+        let m = (n * plane) as f32;
+        resize_buffer(grad_input, grad_output.shape());
+        let gamma = self.gamma.value().data();
+        match self.mode {
+            Mode::Train => {
+                // dx = (γ·inv_std / m) · (m·g − Σg − x̂·Σ(g·x̂)) per channel.
+                for img in 0..n {
+                    for (ch, (&g_ch, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
+                        let base = (img * c + ch) * plane;
+                        let coeff = g_ch * is / m;
+                        for i in base..base + plane {
+                            grad_input.data_mut()[i] = coeff
+                                * (m * grad_output.data()[i]
+                                    - self.dbeta[ch]
+                                    - self.x_hat.data()[i] * self.dgamma[ch]);
+                        }
+                    }
+                }
+            }
+            Mode::Eval => {
+                // Running statistics are constants: dx = g·γ·inv_std.
+                for img in 0..n {
+                    for (ch, (&g, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
+                        let base = (img * c + ch) * plane;
+                        let coeff = g * is;
+                        for i in base..base + plane {
+                            grad_input.data_mut()[i] = coeff * grad_output.data()[i];
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -183,69 +250,24 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("BatchNorm2d");
+        self.check_grad_output(grad_output);
+        self.channel_sums(grad_output);
+        let gamma_grad = self.gamma.grad_mut().data_mut();
+        let beta_grad = self.beta.grad_mut().data_mut();
+        for ch in 0..self.channels {
+            gamma_grad[ch] += self.dgamma[ch];
+            beta_grad[ch] += self.dbeta[ch];
         }
-        check_backward_shape("BatchNorm2d", &self.input_shape, grad_output.shape());
-        let (n, c, h, w) = (
-            self.input_shape[0],
-            self.input_shape[1],
-            self.input_shape[2],
-            self.input_shape[3],
-        );
-        let plane = h * w;
-        let m = (n * plane) as f32;
-        resize_buffer(grad_input, grad_output.shape());
+        self.input_grad_into(grad_output, grad_input);
+    }
 
-        // dγ and dβ are identical in both modes.
-        self.dgamma.clear();
-        self.dgamma.resize(c, 0.0);
-        self.dbeta.clear();
-        self.dbeta.resize(c, 0.0);
-        for img in 0..n {
-            for ch in 0..c {
-                let base = (img * c + ch) * plane;
-                for i in base..base + plane {
-                    self.dgamma[ch] += grad_output.data()[i] * self.x_hat.data()[i];
-                    self.dbeta[ch] += grad_output.data()[i];
-                }
-            }
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.check_grad_output(grad_output);
+        // Only the train-mode input gradient reads the per-channel sums.
+        if self.mode == Mode::Train {
+            self.channel_sums(grad_output);
         }
-        for ch in 0..c {
-            self.gamma.grad_mut().data_mut()[ch] += self.dgamma[ch];
-            self.beta.grad_mut().data_mut()[ch] += self.dbeta[ch];
-        }
-
-        let gamma = self.gamma.value().data();
-        match self.mode {
-            Mode::Train => {
-                // dx = (γ·inv_std / m) · (m·g − Σg − x̂·Σ(g·x̂)) per channel.
-                for img in 0..n {
-                    for (ch, (&g_ch, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
-                        let base = (img * c + ch) * plane;
-                        let coeff = g_ch * is / m;
-                        for i in base..base + plane {
-                            grad_input.data_mut()[i] = coeff
-                                * (m * grad_output.data()[i]
-                                    - self.dbeta[ch]
-                                    - self.x_hat.data()[i] * self.dgamma[ch]);
-                        }
-                    }
-                }
-            }
-            Mode::Eval => {
-                // Running statistics are constants: dx = g·γ·inv_std.
-                for img in 0..n {
-                    for (ch, (&g, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
-                        let base = (img * c + ch) * plane;
-                        let coeff = g * is;
-                        for i in base..base + plane {
-                            grad_input.data_mut()[i] = coeff * grad_output.data()[i];
-                        }
-                    }
-                }
-            }
-        }
+        self.input_grad_into(grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -6,8 +6,10 @@
 //! their weight gradients through the fused GEMM epilogue
 //! (`reveil_tensor::ops::matmul_*_acc_into`), so a block's backward pass
 //! writes each parameter gradient exactly once instead of
-//! matmul-then-`axpy`. Every block-level intermediate (branch outputs,
-//! ReLU masks, gate activations and their gradients) lives in a reusable
+//! matmul-then-`axpy`. Each block runs one backward chain for both
+//! backward methods, so `backward_input_into` reaches every child's
+//! input-only path. Every block-level intermediate (branch outputs, ReLU
+//! masks, gate activations and their gradients) lives in a reusable
 //! per-block buffer, so block forward/backward passes allocate nothing
 //! once warmed up.
 
@@ -16,8 +18,8 @@ use rand::rngs::StdRng;
 use reveil_tensor::Tensor;
 
 use crate::layers::{
-    backward_before_forward, check_backward_shape, expect_nchw, resize_buffer, BatchNorm2d, Conv2d,
-    DepthwiseConv2d, GlobalAvgPool, Linear, Relu, Relu6, Sigmoid, Silu,
+    backward_before_forward, check_backward_shape, expect_nchw, resize_buffer, Backward,
+    BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool, Linear, Relu, Relu6, Sigmoid, Silu,
 };
 use crate::{Layer, Mode, NnError, Param, Sequential};
 
@@ -115,43 +117,11 @@ impl Layer for ResidualBlock {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("ResidualBlock");
-        }
-        check_backward_shape("ResidualBlock", self.relu_mask.shape(), grad_output.shape());
-        resize_buffer(&mut self.gated, grad_output.shape());
-        for ((d, &g), &m) in self
-            .gated
-            .data_mut()
-            .iter_mut()
-            .zip(grad_output.data())
-            .zip(self.relu_mask.data())
-        {
-            *d = g * m;
-        }
-        self.main.backward_into(&self.gated, &mut self.dx_main);
-        match &mut self.shortcut {
-            Some(s) => {
-                s.backward_into(&self.gated, grad_input);
-                // f32 addition is commutative and exact either way, so
-                // accumulating the main-path gradient onto the shortcut's
-                // matches the old `dx_main + dx_shortcut` bit for bit.
-                for (o, &a) in grad_input.data_mut().iter_mut().zip(self.dx_main.data()) {
-                    *o += a;
-                }
-            }
-            None => {
-                resize_buffer(grad_input, self.dx_main.shape());
-                for ((o, &a), &g) in grad_input
-                    .data_mut()
-                    .iter_mut()
-                    .zip(self.dx_main.data())
-                    .zip(self.gated.data())
-                {
-                    *o = a + g;
-                }
-            }
-        }
+        self.backward_with(Backward::Full, grad_output, grad_input);
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.backward_with(Backward::InputOnly, grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -193,6 +163,50 @@ impl Layer for ResidualBlock {
 
     fn name(&self) -> &'static str {
         "residual_block"
+    }
+}
+
+impl ResidualBlock {
+    /// Runs `backward` through the main path and the shortcut (both
+    /// backward methods share this chain).
+    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("ResidualBlock");
+        }
+        check_backward_shape("ResidualBlock", self.relu_mask.shape(), grad_output.shape());
+        resize_buffer(&mut self.gated, grad_output.shape());
+        for ((d, &g), &m) in self
+            .gated
+            .data_mut()
+            .iter_mut()
+            .zip(grad_output.data())
+            .zip(self.relu_mask.data())
+        {
+            *d = g * m;
+        }
+        backward.run(&mut self.main, &self.gated, &mut self.dx_main);
+        match &mut self.shortcut {
+            Some(s) => {
+                backward.run(s, &self.gated, grad_input);
+                // f32 addition is commutative and exact either way, so
+                // accumulating the main-path gradient onto the shortcut's
+                // matches the old `dx_main + dx_shortcut` bit for bit.
+                for (o, &a) in grad_input.data_mut().iter_mut().zip(self.dx_main.data()) {
+                    *o += a;
+                }
+            }
+            None => {
+                resize_buffer(grad_input, self.dx_main.shape());
+                for ((o, &a), &g) in grad_input
+                    .data_mut()
+                    .iter_mut()
+                    .zip(self.dx_main.data())
+                    .zip(self.gated.data())
+                {
+                    *o = a + g;
+                }
+            }
+        }
     }
 }
 
@@ -287,50 +301,11 @@ impl Layer for SqueezeExcite {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("SqueezeExcite");
-        }
-        check_backward_shape(
-            "SqueezeExcite",
-            self.saved_input.shape(),
-            grad_output.shape(),
-        );
-        let &[n, c, h, w] = self.saved_input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
-        };
-        let plane = h * w;
+        self.backward_with(Backward::Full, grad_output, grad_input);
+    }
 
-        // Direct term: ∂(x ⊙ s)/∂x with s treated constant.
-        // Gate term: ds[n, c] = Σ_hw g ⊙ x.
-        resize_buffer(grad_input, self.saved_input.shape());
-        resize_buffer(&mut self.dscale, &[n, c]);
-        let gi = grad_input.data_mut();
-        let ds = self.dscale.data_mut();
-        let x = self.saved_input.data();
-        let g = grad_output.data();
-        let scale = self.scale.data();
-        for img in 0..n {
-            for ch in 0..c {
-                let s = scale[img * c + ch];
-                let base = (img * c + ch) * plane;
-                let mut acc = 0.0;
-                for i in base..base + plane {
-                    acc += g[i] * x[i];
-                    gi[i] = g[i] * s;
-                }
-                ds[img * c + ch] = acc;
-            }
-        }
-
-        // Chain through sigmoid → fc2 → silu → fc1 → gap back to the input.
-        self.sig.backward_into(&self.dscale, &mut self.ga);
-        self.fc2.backward_into(&self.ga, &mut self.gb);
-        self.act.backward_into(&self.gb, &mut self.ga);
-        self.fc1.backward_into(&self.ga, &mut self.gb);
-        self.gap.backward_into(&self.gb, &mut self.ga);
-        for (o, &v) in grad_input.data_mut().iter_mut().zip(self.ga.data()) {
-            *o += v;
-        }
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.backward_with(Backward::InputOnly, grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -374,6 +349,57 @@ impl Layer for SqueezeExcite {
 
     fn name(&self) -> &'static str {
         "squeeze_excite"
+    }
+}
+
+impl SqueezeExcite {
+    /// Runs `backward` through the gate chain (both backward methods share
+    /// this chain).
+    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("SqueezeExcite");
+        }
+        check_backward_shape(
+            "SqueezeExcite",
+            self.saved_input.shape(),
+            grad_output.shape(),
+        );
+        let &[n, c, h, w] = self.saved_input.shape() else {
+            unreachable!("saved input is always [n, c, h, w]")
+        };
+        let plane = h * w;
+
+        // Direct term: ∂(x ⊙ s)/∂x with s treated constant.
+        // Gate term: ds[n, c] = Σ_hw g ⊙ x.
+        resize_buffer(grad_input, self.saved_input.shape());
+        resize_buffer(&mut self.dscale, &[n, c]);
+        let gi = grad_input.data_mut();
+        let ds = self.dscale.data_mut();
+        let x = self.saved_input.data();
+        let g = grad_output.data();
+        let scale = self.scale.data();
+        for img in 0..n {
+            for ch in 0..c {
+                let s = scale[img * c + ch];
+                let base = (img * c + ch) * plane;
+                let mut acc = 0.0;
+                for i in base..base + plane {
+                    acc += g[i] * x[i];
+                    gi[i] = g[i] * s;
+                }
+                ds[img * c + ch] = acc;
+            }
+        }
+
+        // Chain through sigmoid → fc2 → silu → fc1 → gap back to the input.
+        backward.run(&mut self.sig, &self.dscale, &mut self.ga);
+        backward.run(&mut self.fc2, &self.ga, &mut self.gb);
+        backward.run(&mut self.act, &self.gb, &mut self.ga);
+        backward.run(&mut self.fc1, &self.ga, &mut self.gb);
+        backward.run(&mut self.gap, &self.gb, &mut self.ga);
+        for (o, &v) in grad_input.data_mut().iter_mut().zip(self.ga.data()) {
+            *o += v;
+        }
     }
 }
 
@@ -496,13 +522,11 @@ impl Layer for InvertedResidual {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.body.backward_into(grad_output, grad_input);
-        if self.use_res {
-            debug_assert_eq!(grad_input.shape(), grad_output.shape());
-            for (o, &g) in grad_input.data_mut().iter_mut().zip(grad_output.data()) {
-                *o += g;
-            }
-        }
+        self.backward_with(Backward::Full, grad_output, grad_input);
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.backward_with(Backward::InputOnly, grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -526,6 +550,20 @@ impl Layer for InvertedResidual {
         match self.kind {
             "mbconv" => "mbconv",
             _ => "inverted_residual",
+        }
+    }
+}
+
+impl InvertedResidual {
+    /// Runs `backward` through the body and adds the skip gradient (both
+    /// backward methods share this chain).
+    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
+        backward.run(&mut self.body, grad_output, grad_input);
+        if self.use_res {
+            debug_assert_eq!(grad_input.shape(), grad_output.shape());
+            for (o, &g) in grad_input.data_mut().iter_mut().zip(grad_output.data()) {
+                *o += g;
+            }
         }
     }
 }

@@ -5,9 +5,10 @@
 //! single packed matmul per layer call. All intermediate buffers live in a
 //! per-layer [`ConvScratch`] that is reused across calls, so the forward
 //! and backward hot loops perform no per-sample heap allocation. The
-//! backward pass recomputes the column matrix instead of caching it,
-//! trading a little compute for a large reduction in peak memory (the
-//! cached tensor per layer is just the input). Every loop here runs on the
+//! training backward recomputes the column matrix for dW instead of caching
+//! it, trading a little compute for a large reduction in peak memory (the
+//! cached tensor per layer is just the input); the input-only backward
+//! needs no column matrix at all. Every loop here runs on the
 //! caller's thread: parallelism lives above the layer, at whole cells,
 //! audits and SISA shards.
 
@@ -130,6 +131,52 @@ impl Conv2d {
             .unwrap_or_else(|e| panic!("{e}"));
         (n, h, w, oh, ow)
     }
+
+    /// Checks `grad_output` against the last forward pass and gathers it
+    /// into the channel-major `[oc, n*oh*ow]` rows of `scratch.gemm` that
+    /// both backward methods read. Returns the saved input's
+    /// `[n, c, h, w]`.
+    fn gather_grad_output(&mut self, grad_output: &Tensor) -> [usize; 4] {
+        if !self.ready {
+            backward_before_forward("Conv2d");
+        }
+        let &[n, c, h, w] = self.saved_input.shape() else {
+            unreachable!("saved input is always [n, c, h, w]")
+        };
+        let (oh, ow) = self
+            .geom
+            .output_size(h, w)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let oc = self.out_channels;
+        check_backward_shape("Conv2d", &[n, oc, oh, ow], grad_output.shape());
+        resize_buffer(&mut self.scratch.gemm, &[oc, n * oh * ow]);
+        gather_channel_major(
+            grad_output.data(),
+            n,
+            oc,
+            oh * ow,
+            self.scratch.gemm.data_mut(),
+        );
+        [n, c, h, w]
+    }
+
+    /// The input gradient both backward methods write, from the gathered
+    /// rows: `dcols = Wᵀ · gy`, scattered back to input space batched.
+    fn input_grad_into(&mut self, [n, c, h, w]: [usize; 4], grad_input: &mut Tensor) {
+        let n_ohw = self.scratch.gemm.shape()[1];
+        resize_buffer(
+            &mut self.scratch.dcols,
+            &[c * self.geom.kh * self.geom.kw, n_ohw],
+        );
+        ops::matmul_tn_into(
+            self.weight.value(),
+            &self.scratch.gemm,
+            &mut self.scratch.dcols,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 impl Layer for Conv2d {
@@ -169,40 +216,21 @@ impl Layer for Conv2d {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("Conv2d");
-        }
-        let input = &self.saved_input;
-        let &[n, _c, h, w] = input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
-        };
-        let (oh, ow) = self
-            .geom
-            .output_size(h, w)
-            .unwrap_or_else(|e| panic!("{e}"));
-        check_backward_shape(
-            "Conv2d",
-            &[n, self.out_channels, oh, ow],
-            grad_output.shape(),
-        );
-        let c = self.in_channels;
+        let dims = self.gather_grad_output(grad_output);
         let oc = self.out_channels;
-        let ohw = oh * ow;
-        let fan_in = c * self.geom.kh * self.geom.kw;
+        let n_ohw = self.scratch.gemm.shape()[1];
 
         // Recompute the batched column matrix (not cached across the pass).
-        im2col_batch_into(input, self.geom, &mut self.scratch.cols)
+        im2col_batch_into(&self.saved_input, self.geom, &mut self.scratch.cols)
             .unwrap_or_else(|e| panic!("{e}"));
-
-        // Gather the output gradient from [n, oc, oh, ow] into the
-        // channel-major [oc, n*ohw] layout the matmuls need.
-        resize_buffer(&mut self.scratch.gemm, &[oc, n * ohw]);
-        gather_channel_major(grad_output.data(), n, oc, ohw, self.scratch.gemm.data_mut());
 
         // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
         // straight into the parameter gradient by the fused GEMM epilogue
         // (no per-call weight-gradient scratch, no separate axpy pass).
-        debug_assert_eq!(self.weight.grad().shape(), &[oc, fan_in]);
+        debug_assert_eq!(
+            self.weight.grad().shape(),
+            &[oc, self.in_channels * self.geom.kh * self.geom.kw]
+        );
         ops::matmul_nt_acc_into(
             &self.scratch.gemm,
             &self.scratch.cols,
@@ -212,24 +240,18 @@ impl Layer for Conv2d {
         .unwrap_or_else(|e| panic!("{e}"));
 
         // db += row sums of gy.
-        {
-            let gy = self.scratch.gemm.data();
-            let db = self.bias.grad_mut().data_mut();
-            for ch in 0..oc {
-                db[ch] += gy[ch * n * ohw..(ch + 1) * n * ohw].iter().sum::<f32>();
-            }
+        let gy = self.scratch.gemm.data();
+        let db = self.bias.grad_mut().data_mut();
+        for ch in 0..oc {
+            db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
         }
 
-        // dcols = Wᵀ · gy, scattered back to input space batched.
-        resize_buffer(&mut self.scratch.dcols, &[fan_in, n * ohw]);
-        ops::matmul_tn_into(
-            self.weight.value(),
-            &self.scratch.gemm,
-            &mut self.scratch.dcols,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.input_grad_into(dims, grad_input);
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        let dims = self.gather_grad_output(grad_output);
+        self.input_grad_into(dims, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -302,6 +324,51 @@ impl DepthwiseConv2d {
             scratch: ConvScratch::default(),
         })
     }
+
+    /// Checks `grad_output` against the last forward pass and gathers it
+    /// into the channel-major `[c, n*oh*ow]` rows of `scratch.gemm` that
+    /// both backward methods read. Returns the saved input's
+    /// `[n, c, h, w]`.
+    fn gather_grad_output(&mut self, grad_output: &Tensor) -> [usize; 4] {
+        if !self.ready {
+            backward_before_forward("DepthwiseConv2d");
+        }
+        let &[n, c, h, w] = self.saved_input.shape() else {
+            unreachable!("saved input is always [n, c, h, w]")
+        };
+        let (oh, ow) = self
+            .geom
+            .output_size(h, w)
+            .unwrap_or_else(|e| panic!("{e}"));
+        check_backward_shape("DepthwiseConv2d", &[n, c, oh, ow], grad_output.shape());
+        resize_buffer(&mut self.scratch.gemm, &[c, n * oh * ow]);
+        gather_channel_major(
+            grad_output.data(),
+            n,
+            c,
+            oh * ow,
+            self.scratch.gemm.data_mut(),
+        );
+        [n, c, h, w]
+    }
+
+    /// The input gradient both backward methods write, from the gathered
+    /// rows: `dcols[ch*k2+t] = w[ch][t] * gy[ch]`, scattered back batched.
+    fn input_grad_into(&mut self, [n, c, h, w]: [usize; 4], grad_input: &mut Tensor) {
+        let k2 = self.geom.kh * self.geom.kw;
+        let n_ohw = self.scratch.gemm.shape()[1];
+        resize_buffer(&mut self.scratch.dcols, &[c * k2, n_ohw]);
+        let gy = self.scratch.gemm.data();
+        let dcols = self.scratch.dcols.data_mut();
+        for (row, &wv) in self.weight.value().data().iter().enumerate() {
+            let g = &gy[(row / k2) * n_ohw..][..n_ohw];
+            for (o, &v) in dcols[row * n_ohw..][..n_ohw].iter_mut().zip(g) {
+                *o = wv * v;
+            }
+        }
+        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -346,61 +413,37 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("DepthwiseConv2d");
-        }
-        let input = &self.saved_input;
-        let &[n, c, h, w] = input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
-        };
-        let (oh, ow) = self
-            .geom
-            .output_size(h, w)
-            .unwrap_or_else(|e| panic!("{e}"));
-        check_backward_shape("DepthwiseConv2d", &[n, c, oh, ow], grad_output.shape());
+        let dims = self.gather_grad_output(grad_output);
+        let c = self.channels;
         let k2 = self.geom.kh * self.geom.kw;
-        let ohw = oh * ow;
+        let n_ohw = self.scratch.gemm.shape()[1];
 
-        im2col_batch_into(input, self.geom, &mut self.scratch.cols)
+        im2col_batch_into(&self.saved_input, self.geom, &mut self.scratch.cols)
             .unwrap_or_else(|e| panic!("{e}"));
-
-        // Gather the output gradient into channel-major [c, n*ohw] rows.
-        resize_buffer(&mut self.scratch.gemm, &[c, n * ohw]);
-        gather_channel_major(grad_output.data(), n, c, ohw, self.scratch.gemm.data_mut());
 
         // dW[ch][t] += <gy[ch], cols[ch*k2+t]>, db[ch] += Σ gy[ch]: straight
         // dot products over contiguous rows.
-        {
-            let cols = self.scratch.cols.data();
-            let gy = self.scratch.gemm.data();
-            let dw = self.weight.grad_mut().data_mut();
-            for ch in 0..c {
-                let g = &gy[ch * n * ohw..(ch + 1) * n * ohw];
-                for t in 0..k2 {
-                    let row = &cols[(ch * k2 + t) * n * ohw..][..n * ohw];
-                    dw[ch * k2 + t] += row.iter().zip(g).map(|(&a, &b)| a * b).sum::<f32>();
-                }
+        let cols = self.scratch.cols.data();
+        let gy = self.scratch.gemm.data();
+        let dw = self.weight.grad_mut().data_mut();
+        for ch in 0..c {
+            let g = &gy[ch * n_ohw..(ch + 1) * n_ohw];
+            for t in 0..k2 {
+                let row = &cols[(ch * k2 + t) * n_ohw..][..n_ohw];
+                dw[ch * k2 + t] += row.iter().zip(g).map(|(&a, &b)| a * b).sum::<f32>();
             }
-            let db = self.bias.grad_mut().data_mut();
-            for ch in 0..c {
-                db[ch] += gy[ch * n * ohw..(ch + 1) * n * ohw].iter().sum::<f32>();
-            }
+        }
+        let db = self.bias.grad_mut().data_mut();
+        for ch in 0..c {
+            db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
         }
 
-        // dcols[ch*k2+t] = w[ch][t] * gy[ch], scattered back batched.
-        resize_buffer(&mut self.scratch.dcols, &[c * k2, n * ohw]);
-        {
-            let gy = self.scratch.gemm.data();
-            let dcols = self.scratch.dcols.data_mut();
-            for (row, &wv) in self.weight.value().data().iter().enumerate() {
-                let g = &gy[(row / k2) * n * ohw..][..n * ohw];
-                for (o, &v) in dcols[row * n * ohw..][..n * ohw].iter_mut().zip(g) {
-                    *o = wv * v;
-                }
-            }
-        }
-        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.input_grad_into(dims, grad_input);
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        let dims = self.gather_grad_output(grad_output);
+        self.input_grad_into(dims, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -64,6 +64,18 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         self.weight.value()
     }
+
+    /// The input gradient both backward methods write: `dx = g·W`.
+    fn input_grad_into(&self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("Linear");
+        }
+        let n = self.saved_input.shape()[0];
+        check_backward_shape("Linear", &[n, self.out_features], grad_output.shape());
+        resize_buffer(grad_input, &[n, self.in_features]);
+        ops::matmul_into(grad_output, self.weight.value(), grad_input)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
 }
 
 impl Layer for Linear {
@@ -86,27 +98,22 @@ impl Layer for Linear {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("Linear");
-        }
-        let n = self.saved_input.shape()[0];
-        check_backward_shape("Linear", &[n, self.out_features], grad_output.shape());
+        self.input_grad_into(grad_output, grad_input);
         // dW += gᵀ·x via the fused accumulate epilogue (no transient dW
         // tensor, no separate axpy), db += column sums of g (accumulated
-        // straight into the bias gradient), dx = g·W.
+        // straight into the bias gradient).
         ops::matmul_tn_acc_into(grad_output, &self.saved_input, 1.0, self.weight.grad_mut())
             .unwrap_or_else(|e| panic!("{e}"));
-        {
-            let db = self.bias.grad_mut().data_mut();
-            for row in grad_output.data().chunks(db.len()) {
-                for (o, &v) in db.iter_mut().zip(row) {
-                    *o += v;
-                }
+        let db = self.bias.grad_mut().data_mut();
+        for row in grad_output.data().chunks(db.len()) {
+            for (o, &v) in db.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        resize_buffer(grad_input, &[n, self.in_features]);
-        ops::matmul_into(grad_output, self.weight.value(), grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.input_grad_into(grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -1,8 +1,11 @@
 //! Differentiable layer implementations.
 //!
-//! Every layer implements the object-safe [`Layer`](crate::Layer) trait:
+//! Every layer implements the object-safe [`Layer`] trait:
 //! `forward` caches what `backward` needs, `backward` returns the gradient
-//! with respect to the layer input and accumulates parameter gradients.
+//! with respect to the layer input and accumulates parameter gradients, and
+//! `backward_input_into` returns the same input gradient without them.
+//! Each layer with parameters computes its input gradient in one private
+//! routine that both backward methods call, so the two agree bit for bit.
 //! Gradient correctness of each layer is checked against finite differences
 //! in its unit tests.
 
@@ -23,6 +26,28 @@ pub use linear::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 
 use reveil_tensor::Tensor;
+
+use crate::Layer;
+
+/// Which of the two [`Layer`] backward methods a container runs through
+/// its children, so that both methods share one chain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Backward {
+    /// [`Layer::backward_into`]: input and parameter gradients.
+    Full,
+    /// [`Layer::backward_input_into`]: the input gradient only.
+    InputOnly,
+}
+
+impl Backward {
+    /// Runs this backward method of `layer`.
+    pub(crate) fn run(self, layer: &mut dyn Layer, grad_output: &Tensor, grad_input: &mut Tensor) {
+        match self {
+            Backward::Full => layer.backward_into(grad_output, grad_input),
+            Backward::InputOnly => layer.backward_input_into(grad_output, grad_input),
+        }
+    }
+}
 
 /// Resizes a reusable buffer without pre-filling (every consumer overwrites
 /// its full active region), asserting in debug builds that a buffer with

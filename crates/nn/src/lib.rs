@@ -9,6 +9,13 @@
 //! the activation and gradient at every interior layer boundary of the last
 //! pass.
 //!
+//! Every layer has two backward methods. [`Layer::backward_into`] is the
+//! training backward: it returns the input gradient and accumulates every
+//! parameter gradient. [`Layer::backward_input_into`] returns the same
+//! input gradient, bit for bit, and touches no parameter gradient. Neural
+//! Cleanse and GradCAM use it, through [`Network::backward_input_into`],
+//! because they differentiate with respect to the input only.
+//!
 //! Contents:
 //!
 //! * [`layers`] — Conv2d, DepthwiseConv2d, Linear, BatchNorm2d, ReLU family,
@@ -77,8 +84,18 @@ pub enum Mode {
 /// A differentiable network layer.
 ///
 /// Layers cache whatever they need during [`Layer::forward_into`] so that
-/// the next [`Layer::backward_into`] call can produce the gradient with
-/// respect to the layer input and accumulate parameter gradients.
+/// the next backward call can produce the gradient with respect to the
+/// layer input. There are two backward methods:
+///
+/// * [`Layer::backward_into`] also accumulates the parameter gradients
+///   (the training step);
+/// * [`Layer::backward_input_into`] writes the same input gradient, bit
+///   for bit, and touches no parameter gradient (input-space optimisation
+///   and attribution). Layers with parameters skip their weight-gradient
+///   work here.
+///
+/// Both fill a container's boundary gradients
+/// ([`Sequential::boundary_grads`]) identically.
 ///
 /// # Buffer-reuse contract
 ///
@@ -87,12 +104,12 @@ pub enum Mode {
 /// [`reveil_tensor::Tensor::resize_for_overwrite`], so its allocation is
 /// reused once warmed up) and keep whatever state the backward pass needs
 /// in reusable internal buffers instead of cloning tensors per call. After
-/// one warm-up pass at a given shape, a layer's `forward_into` /
-/// `backward_into` perform **no heap allocations** — the property that
-/// keeps the training loop allocation-free (see `TrainStep` in
-/// [`train`]). The output tensor must be distinct from the input (the
-/// `&`/`&mut` signature enforces this), and results are bit-identical to
-/// the allocating wrappers.
+/// one warm-up pass at a given shape, a layer's `forward_into` and both
+/// backward methods perform **no heap allocations** — the property that
+/// keeps the training loop and the defense audits allocation-free (see
+/// `TrainStep` in [`train`]). The output tensor must be distinct from the
+/// input (the `&`/`&mut` signature enforces this), and results are
+/// bit-identical to the allocating wrappers.
 ///
 /// [`Layer::forward`] / [`Layer::backward`] are convenience wrappers that
 /// return a freshly allocated tensor, for one-off callers and for the tests
@@ -101,8 +118,8 @@ pub enum Mode {
 /// The trait is object-safe: networks store `Box<dyn Layer>`.
 pub trait Layer: Send {
     /// Computes the layer output for `input` into `out`, reusing `out`'s
-    /// allocation and caching what the next [`Layer::backward_into`] needs
-    /// in internal buffers.
+    /// allocation and caching what the next backward call needs in
+    /// internal buffers.
     ///
     /// # Panics
     ///
@@ -129,6 +146,25 @@ pub trait Layer: Send {
         grad_output: &reveil_tensor::Tensor,
         grad_input: &mut reveil_tensor::Tensor,
     );
+
+    /// Writes the same input gradient as [`Layer::backward_into`], bit for
+    /// bit, but touches no parameter gradient.
+    ///
+    /// The default delegates to [`Layer::backward_into`], which is exact
+    /// for layers without parameters. Layers with parameters override it
+    /// and skip their parameter-gradient work; containers route it to
+    /// their children's input-only path.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Layer::backward_into`].
+    fn backward_input_into(
+        &mut self,
+        grad_output: &reveil_tensor::Tensor,
+        grad_input: &mut reveil_tensor::Tensor,
+    ) {
+        self.backward_into(grad_output, grad_input);
+    }
 
     /// Allocating wrapper over [`Layer::forward_into`]: returns the output
     /// as a fresh tensor.

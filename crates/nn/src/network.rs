@@ -13,7 +13,9 @@ use crate::{Layer, Mode, NnError, Param, Sequential};
 /// ([`Network::features_into`] + [`Network::backbone_boundary_outputs`]),
 /// GradCAM pairs them with their gradients
 /// ([`Network::backbone_boundary_grads`]), and Neural Cleanse needs input
-/// gradients ([`Network::backward_to_input_into`]).
+/// gradients only ([`Network::backward_input_into`], which leaves the
+/// parameter gradients untouched). Training uses
+/// [`Network::backward_to_input_into`], which also accumulates them.
 pub struct Network {
     backbone: Sequential,
     head: Sequential,
@@ -136,6 +138,19 @@ impl Network {
             .backward_into(grad_logits, &mut self.grad_features_buf);
         self.backbone
             .backward_into(&self.grad_features_buf, grad_input);
+    }
+
+    /// Input-gradient-only backward pass: writes the same input gradient
+    /// and boundary gradients as [`Network::backward_to_input_into`], bit
+    /// for bit, but touches no parameter gradient (see
+    /// [`Layer::backward_input_into`]). Callers that differentiate with
+    /// respect to the input only (Neural Cleanse, GradCAM) need no
+    /// [`Network::zero_grads`] first, and skip the weight-gradient work.
+    pub fn backward_input_into(&mut self, grad_logits: &Tensor, grad_input: &mut Tensor) {
+        self.head
+            .backward_input_into(grad_logits, &mut self.grad_features_buf);
+        self.backbone
+            .backward_input_into(&self.grad_features_buf, grad_input);
     }
 
     /// Total capacity in scalars of every reusable buffer in the network

@@ -2,7 +2,7 @@
 
 use reveil_tensor::Tensor;
 
-use crate::layers::resize_buffer;
+use crate::layers::{resize_buffer, Backward};
 use crate::{Layer, Mode, Param};
 
 /// A chain of layers applied in order.
@@ -19,7 +19,8 @@ use crate::{Layer, Mode, Param};
 /// The same buffers expose the interior of the last pass:
 /// [`Sequential::boundary_outputs`] and [`Sequential::boundary_grads`] pair
 /// each interior activation with its gradient (GradCAM), and Beatrix reads
-/// spatial activations from the forward side.
+/// spatial activations from the forward side. Both backward methods fill
+/// the gradient buffers identically.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -75,9 +76,10 @@ impl Sequential {
         &self.fwd_bufs
     }
 
-    /// The pooled layer-boundary gradients of the last backward pass,
-    /// indexed like [`Sequential::boundary_outputs`]: `boundary_grads()[i]`
-    /// is the gradient with respect to layer `i`'s output.
+    /// The pooled layer-boundary gradients of the last backward pass
+    /// (either backward method), indexed like
+    /// [`Sequential::boundary_outputs`]: `boundary_grads()[i]` is the
+    /// gradient with respect to layer `i`'s output.
     pub fn boundary_grads(&self) -> &[Tensor] {
         &self.bwd_bufs
     }
@@ -92,6 +94,33 @@ impl Sequential {
     fn ensure_bufs(bufs: &mut Vec<Tensor>, len: usize) {
         if bufs.len() < len {
             bufs.resize_with(len, Tensor::default);
+        }
+    }
+
+    /// Runs `backward` through the layers in reverse, ping-ponging the
+    /// gradients through the boundary buffers.
+    fn backward_chain(
+        &mut self,
+        backward: Backward,
+        grad_output: &Tensor,
+        grad_input: &mut Tensor,
+    ) {
+        let n = self.layers.len();
+        if n == 0 {
+            resize_buffer(grad_input, grad_output.shape());
+            grad_input.data_mut().copy_from_slice(grad_output.data());
+            return;
+        }
+        Self::ensure_bufs(&mut self.bwd_bufs, n.saturating_sub(1));
+        for i in (0..n).rev() {
+            let (prev, rest) = self.bwd_bufs.split_at_mut(i);
+            let src: &Tensor = if i == n - 1 { grad_output } else { &rest[0] };
+            let dst: &mut Tensor = if i == 0 {
+                &mut *grad_input
+            } else {
+                &mut prev[i - 1]
+            };
+            backward.run(self.layers[i].as_mut(), src, dst);
         }
     }
 }
@@ -114,23 +143,11 @@ impl Layer for Sequential {
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let n = self.layers.len();
-        if n == 0 {
-            resize_buffer(grad_input, grad_output.shape());
-            grad_input.data_mut().copy_from_slice(grad_output.data());
-            return;
-        }
-        Self::ensure_bufs(&mut self.bwd_bufs, n.saturating_sub(1));
-        for i in (0..n).rev() {
-            let (prev, rest) = self.bwd_bufs.split_at_mut(i);
-            let src: &Tensor = if i == n - 1 { grad_output } else { &rest[0] };
-            let dst: &mut Tensor = if i == 0 {
-                &mut *grad_input
-            } else {
-                &mut prev[i - 1]
-            };
-            self.layers[i].backward_into(src, dst);
-        }
+        self.backward_chain(Backward::Full, grad_output, grad_input);
+    }
+
+    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+        self.backward_chain(Backward::InputOnly, grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -3,8 +3,9 @@
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! batch, one full training step (forward → loss → backward → optimizer
 //! step) over a model using **every** layer type must perform zero heap
-//! allocations. Every kernel of the step runs on the calling thread, so
-//! the count holds at any `REVEIL_THREADS`.
+//! allocations, and so must the input-gradient pass of the defense audits
+//! (Eval forward → `Network::backward_input_into`). Every kernel runs on
+//! the calling thread, so the counts hold at any `REVEIL_THREADS`.
 //!
 //! Alongside the strict allocator count, this file pins:
 //! * bit-identity of the pooled-buffer path (`TrainStep`) against the
@@ -120,6 +121,32 @@ fn warmed_up_training_step_performs_zero_heap_allocations() {
     assert_zero_alloc_steps(
         &mut Sgd::new(5e-3).with_momentum(0.9).with_weight_decay(1e-4),
         "SGD+momentum",
+    );
+}
+
+#[test]
+fn warmed_up_input_gradient_pass_performs_zero_heap_allocations() {
+    let _serial = serial();
+    let mut net = all_layers_net();
+    let (batch, _) = smoke_batch();
+    let grad_logits = Tensor::from_fn(&[32, 4], |i| (i % 7) as f32 * 0.1 - 0.3);
+    let mut logits = Tensor::default();
+    let mut grad_input = Tensor::default();
+    // Warm-up on this path alone, as an audit of a parked cell runs it.
+    for _ in 0..2 {
+        net.infer_into(&batch, &mut logits);
+        net.backward_input_into(&grad_logits, &mut grad_input);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..3 {
+        net.infer_into(&batch, &mut logits);
+        net.backward_input_into(&grad_logits, &mut grad_input);
+    }
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocs, 0,
+        "a warmed-up Eval forward + backward_input_into pass must perform \
+         zero heap allocations, counted {allocs} across 3 passes"
     );
 }
 
