@@ -1,11 +1,11 @@
 //! Pointwise activation layers: ReLU, ReLU6, SiLU and Sigmoid.
 //!
-//! Every activation keeps exactly one reusable buffer between forward and
-//! backward — a 0/1 gradient mask for the ReLU family (computed in the same
-//! pass that writes the output, so the input is never cloned) or a saved
-//! copy of the input/output for SiLU/Sigmoid — which halves the memory
-//! traffic of the old clone-the-input pattern and makes both passes
-//! allocation-free once warmed up.
+//! Every activation keeps what its derivative needs in reusable buffers
+//! between forward and backward: a 0/1 gradient mask for the ReLU family
+//! (computed in the same pass that writes the output, so the input is
+//! never cloned), a saved copy of the output for Sigmoid, and both x and
+//! σ(x) for SiLU, so that its backward takes no second `exp`. Both passes
+//! are allocation-free once warmed up.
 
 use reveil_tensor::Tensor;
 
@@ -134,6 +134,9 @@ fn sigmoid(x: f32) -> f32 {
 pub struct Silu {
     /// Saved copy of the forward input (the derivative needs `x` itself).
     saved_input: Tensor,
+    /// σ(x) of the forward pass, which the derivative reads instead of
+    /// computing it again.
+    saved_sigmoid: Tensor,
     ready: bool,
 }
 
@@ -148,9 +151,18 @@ impl Layer for Silu {
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, out: &mut Tensor) {
         resize_buffer(out, input.shape());
         resize_buffer(&mut self.saved_input, input.shape());
-        self.saved_input.data_mut().copy_from_slice(input.data());
-        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = x * sigmoid(x);
+        resize_buffer(&mut self.saved_sigmoid, input.shape());
+        let saved = self
+            .saved_input
+            .data_mut()
+            .iter_mut()
+            .zip(self.saved_sigmoid.data_mut());
+        for ((o, (saved_x, saved_s)), &x) in out.data_mut().iter_mut().zip(saved).zip(input.data())
+        {
+            let s = sigmoid(x);
+            *saved_x = x;
+            *saved_s = s;
+            *o = x * s;
         }
         self.ready = true;
     }
@@ -161,23 +173,24 @@ impl Layer for Silu {
         }
         check_backward_shape("Silu", self.saved_input.shape(), grad_output.shape());
         resize_buffer(grad_input, grad_output.shape());
+        let saved = self
+            .saved_input
+            .data()
+            .iter()
+            .zip(self.saved_sigmoid.data());
         let dst = grad_input.data_mut();
-        for ((gi, &x), &g) in dst
-            .iter_mut()
-            .zip(self.saved_input.data())
-            .zip(grad_output.data())
-        {
-            let s = sigmoid(x);
+        for ((gi, (&x, &s)), &g) in dst.iter_mut().zip(saved).zip(grad_output.data()) {
             *gi = g * (s + x * s * (1.0 - s));
         }
     }
 
     fn buffer_capacity(&self) -> usize {
-        self.saved_input.capacity()
+        self.saved_input.capacity() + self.saved_sigmoid.capacity()
     }
 
     fn release_buffers(&mut self) {
         self.saved_input = Tensor::default();
+        self.saved_sigmoid = Tensor::default();
         self.ready = false;
     }
 

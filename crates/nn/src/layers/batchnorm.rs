@@ -95,22 +95,26 @@ impl BatchNorm2d {
     }
 
     /// Sums `g·x̂` and `g` per channel into `dgamma` / `dbeta`: the γ and β
-    /// gradients, which the train-mode input gradient also reads.
+    /// gradients, which the train-mode input gradient also reads. Each sum
+    /// runs over (image, position) in order.
     fn channel_sums(&mut self, grad_output: &Tensor) {
         let (n, c) = (self.input_shape[0], self.input_shape[1]);
         let plane = self.input_shape[2] * self.input_shape[3];
+        let (grad, x_hat) = (grad_output.data(), self.x_hat.data());
         self.dgamma.clear();
-        self.dgamma.resize(c, 0.0);
         self.dbeta.clear();
-        self.dbeta.resize(c, 0.0);
-        for img in 0..n {
-            for ch in 0..c {
+        for ch in 0..c {
+            let (mut sum_gx, mut sum_g) = (0.0f32, 0.0f32);
+            for img in 0..n {
                 let base = (img * c + ch) * plane;
-                for i in base..base + plane {
-                    self.dgamma[ch] += grad_output.data()[i] * self.x_hat.data()[i];
-                    self.dbeta[ch] += grad_output.data()[i];
+                let planes = grad[base..base + plane].iter().zip(&x_hat[base..]);
+                for (&g, &xh) in planes {
+                    sum_gx += g * xh;
+                    sum_g += g;
                 }
             }
+            self.dgamma.push(sum_gx);
+            self.dbeta.push(sum_g);
         }
     }
 
@@ -122,34 +126,56 @@ impl BatchNorm2d {
         let m = (n * plane) as f32;
         resize_buffer(grad_input, grad_output.shape());
         let gamma = self.gamma.value().data();
+        let planes = grad_input
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(grad_output.data().chunks_exact(plane))
+            .zip((0..c).cycle());
         match self.mode {
             Mode::Train => {
                 // dx = (γ·inv_std / m) · (m·g − Σg − x̂·Σ(g·x̂)) per channel.
-                for img in 0..n {
-                    for (ch, (&g_ch, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
-                        let base = (img * c + ch) * plane;
-                        let coeff = g_ch * is / m;
-                        for i in base..base + plane {
-                            grad_input.data_mut()[i] = coeff
-                                * (m * grad_output.data()[i]
-                                    - self.dbeta[ch]
-                                    - self.x_hat.data()[i] * self.dgamma[ch]);
-                        }
+                let x_hat = self.x_hat.data().chunks_exact(plane);
+                for (((dx, grad), ch), xh) in planes.zip(x_hat) {
+                    let coeff = gamma[ch] * self.inv_std[ch] / m;
+                    let (sum_g, sum_gx) = (self.dbeta[ch], self.dgamma[ch]);
+                    for ((d, &g), &xh) in dx.iter_mut().zip(grad).zip(xh) {
+                        *d = coeff * (m * g - sum_g - xh * sum_gx);
                     }
                 }
             }
             Mode::Eval => {
                 // Running statistics are constants: dx = g·γ·inv_std.
-                for img in 0..n {
-                    for (ch, (&g, &is)) in gamma.iter().zip(&self.inv_std).enumerate() {
-                        let base = (img * c + ch) * plane;
-                        let coeff = g * is;
-                        for i in base..base + plane {
-                            grad_input.data_mut()[i] = coeff * grad_output.data()[i];
-                        }
+                for ((dx, grad), ch) in planes {
+                    let coeff = gamma[ch] * self.inv_std[ch];
+                    for (d, &g) in dx.iter_mut().zip(grad) {
+                        *d = coeff * g;
                     }
                 }
             }
+        }
+    }
+}
+
+/// The normalize pass of both modes, plane by plane: `x̂ = (x − μ)·inv_std`
+/// and `y = γ·x̂ + β` with the channel's statistics.
+fn normalize(
+    input: &[f32],
+    plane: usize,
+    [mean, inv_std, gamma, beta]: [&[f32]; 4],
+    x_hat: &mut [f32],
+    out: &mut [f32],
+) {
+    let planes = input
+        .chunks_exact(plane)
+        .zip(x_hat.chunks_exact_mut(plane))
+        .zip(out.chunks_exact_mut(plane))
+        .zip((0..mean.len()).cycle());
+    for (((x, xh), y), ch) in planes {
+        let (mu, is, g, b) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+        for ((xh, y), &x) in xh.iter_mut().zip(y.iter_mut()).zip(x) {
+            let v = (x - mu) * is;
+            *xh = v;
+            *y = g * v + b;
         }
     }
 }
@@ -199,18 +225,14 @@ impl Layer for BatchNorm2d {
                 self.inv_std.clear();
                 self.inv_std
                     .extend(self.var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
-
-                for img in 0..n {
-                    for ch in 0..c {
-                        let base = (img * c + ch) * plane;
-                        let (mu, is, g, b) = (self.mean[ch], self.inv_std[ch], gamma[ch], beta[ch]);
-                        for i in base..base + plane {
-                            let xh = (input.data()[i] - mu) * is;
-                            self.x_hat.data_mut()[i] = xh;
-                            out.data_mut()[i] = g * xh + b;
-                        }
-                    }
-                }
+                let stats = [&self.mean[..], &self.inv_std, gamma, beta];
+                normalize(
+                    input.data(),
+                    plane,
+                    stats,
+                    self.x_hat.data_mut(),
+                    out.data_mut(),
+                );
                 // Exponential running statistics, updated with the biased
                 // batch variance (the same variance the forward normalises
                 // by).
@@ -229,18 +251,14 @@ impl Layer for BatchNorm2d {
                         .iter()
                         .map(|&v| 1.0 / (v + self.eps).sqrt()),
                 );
-                for img in 0..n {
-                    for ch in 0..c {
-                        let base = (img * c + ch) * plane;
-                        let mu = self.running_mean.data()[ch];
-                        let (is, g, b) = (self.inv_std[ch], gamma[ch], beta[ch]);
-                        for i in base..base + plane {
-                            let xh = (input.data()[i] - mu) * is;
-                            self.x_hat.data_mut()[i] = xh;
-                            out.data_mut()[i] = g * xh + b;
-                        }
-                    }
-                }
+                let stats = [self.running_mean.data(), &self.inv_std, gamma, beta];
+                normalize(
+                    input.data(),
+                    plane,
+                    stats,
+                    self.x_hat.data_mut(),
+                    out.data_mut(),
+                );
             }
         }
         self.input_shape.clear();

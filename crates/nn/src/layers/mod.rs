@@ -20,7 +20,7 @@ mod pool;
 pub use activations::{Relu, Relu6, Sigmoid, Silu};
 pub use batchnorm::BatchNorm2d;
 pub use blocks::{mb_conv, InvertedResidual, MbConv, ResidualBlock, SqueezeExcite};
-pub use conv::{Conv2d, ConvScratch, DepthwiseConv2d};
+pub use conv::{Conv2d, DepthwiseConv2d};
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2d};

@@ -33,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use reveil_nn::{models, train::{TrainConfig, Trainer}};
+//! use reveil_nn::{models, train::{evaluate_accuracy, TrainConfig, Trainer}};
 //! use reveil_tensor::Tensor;
 //!
 //! // Learn to classify two trivially separable synthetic classes.
@@ -47,7 +47,8 @@
 //! let mut net = models::mlp_probe(1, 8, 8, 2, 42);
 //! let cfg = TrainConfig::new(4, 8, 0.01).with_seed(7);
 //! let report = Trainer::new(cfg).fit(&mut net, &images, &labels);
-//! assert!(report.final_train_accuracy > 0.9);
+//! assert_eq!(report.epoch_losses.len(), 4);
+//! assert!(evaluate_accuracy(&mut net, &images, &labels, 8) > 0.9);
 //! ```
 
 #![forbid(unsafe_code)]
