@@ -156,6 +156,48 @@ impl BatchNorm2d {
     }
 }
 
+/// Planes whose sum chains one statistics pass runs side by side.
+const PLANE_GROUP: usize = 8;
+
+/// Adds `term(ch, x)` over each `[h, w]` plane of `input` into its
+/// channel's entry of `totals`, image by image.
+///
+/// Each plane's sum is one chain that starts where `Iterator::sum` starts
+/// and adds the plane's terms in order, so it equals
+/// `plane.iter().map(..).sum::<f32>()` bit for bit. The chains of up to
+/// [`PLANE_GROUP`] planes of one image run side by side, so one add's
+/// latency no longer bounds the pass.
+fn add_plane_sums(
+    input: &[f32],
+    plane: usize,
+    totals: &mut [f32],
+    term: impl Fn(usize, f32) -> f32,
+) {
+    let neutral: f32 = std::iter::empty::<f32>().sum();
+    for image in input.chunks_exact(totals.len() * plane) {
+        let groups = totals
+            .chunks_mut(PLANE_GROUP)
+            .zip(image.chunks(PLANE_GROUP * plane));
+        for (g, (totals, group)) in groups.enumerate() {
+            // A short group pads with chains over its first plane that are
+            // dropped.
+            let lane = |j: usize| if j < totals.len() { j } else { 0 };
+            let rows: [&[f32]; PLANE_GROUP] =
+                std::array::from_fn(|j| &group[lane(j) * plane..][..plane]);
+            let channels: [usize; PLANE_GROUP] = std::array::from_fn(|j| g * PLANE_GROUP + lane(j));
+            let mut acc = [neutral; PLANE_GROUP];
+            for i in 0..plane {
+                for ((acc, row), &ch) in acc.iter_mut().zip(&rows).zip(&channels) {
+                    *acc += term(ch, row[i]);
+                }
+            }
+            for (total, &sum) in totals.iter_mut().zip(&acc) {
+                *total += sum;
+            }
+        }
+    }
+}
+
 /// The normalize pass of both modes, plane by plane: `x̂ = (x − μ)·inv_std`
 /// and `y = γ·x̂ + β` with the channel's statistics.
 fn normalize(
@@ -201,24 +243,15 @@ impl Layer for BatchNorm2d {
                 self.mean.resize(c, 0.0);
                 self.var.clear();
                 self.var.resize(c, 0.0);
-                for img in 0..n {
-                    for (ch, acc) in self.mean.iter_mut().enumerate() {
-                        let base = (img * c + ch) * plane;
-                        *acc += input.data()[base..base + plane].iter().sum::<f32>();
-                    }
-                }
+                add_plane_sums(input.data(), plane, &mut self.mean, |_, x| x);
                 for v in &mut self.mean {
                     *v /= m;
                 }
-                for img in 0..n {
-                    for ch in 0..c {
-                        let base = (img * c + ch) * plane;
-                        self.var[ch] += input.data()[base..base + plane]
-                            .iter()
-                            .map(|&x| (x - self.mean[ch]) * (x - self.mean[ch]))
-                            .sum::<f32>();
-                    }
-                }
+                let mean = &self.mean;
+                add_plane_sums(input.data(), plane, &mut self.var, |ch, x| {
+                    let d = x - mean[ch];
+                    d * d
+                });
                 for v in &mut self.var {
                     *v /= m;
                 }

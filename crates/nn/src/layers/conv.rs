@@ -5,10 +5,10 @@
 //! single packed matmul per layer call. Its intermediate buffers live in a
 //! per-layer `ConvScratch` that is reused across calls, so the forward
 //! and backward hot loops perform no per-sample heap allocation. The
-//! training backward recomputes the column matrix for dW instead of caching
-//! it, trading a little compute for a large reduction in peak memory (the
-//! cached tensor per layer is just the input); the input-only backward
-//! needs no column matrix at all.
+//! backward reads dW from the column matrix its forward left in the
+//! scratch, so the layer keeps no copy of its input; the input-only
+//! backward needs no column matrix at all, and the parameter-only backward
+//! no column-space gradient.
 //!
 //! [`DepthwiseConv2d`] does not lower. Each of its filters sees one
 //! channel, so a column matrix would hold k² shifted copies of the input
@@ -36,7 +36,8 @@ use crate::{Layer, Mode, NnError, Param};
 /// per-sample and per-batch allocations.
 #[derive(Debug, Default)]
 struct ConvScratch {
-    /// `[c*kh*kw, n*oh*ow]` column matrix (forward and backward).
+    /// `[c*kh*kw, n*oh*ow]` column matrix of the last forward's input,
+    /// which the weight gradient reads.
     cols: Tensor,
     /// `[oc, n*oh*ow]` matmul output (forward) or gathered output gradient
     /// (backward).
@@ -72,9 +73,11 @@ pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     geom: ConvGeometry,
-    /// Saved copy of the forward input, reused across calls.
-    saved_input: Tensor,
-    ready: bool,
+    /// `[n, c, h, w]` of the last forward's input. Whenever it is set,
+    /// `scratch.cols` holds the im2col of that same input: every forward
+    /// writes both, no backward writes either, and `release_buffers`
+    /// clears both.
+    input_dims: Option<[usize; 4]>,
     scratch: ConvScratch,
 }
 
@@ -110,8 +113,7 @@ impl Conv2d {
             in_channels,
             out_channels,
             geom,
-            saved_input: Tensor::default(),
-            ready: false,
+            input_dims: None,
             scratch: ConvScratch::default(),
         })
     }
@@ -142,14 +144,11 @@ impl Conv2d {
 
     /// Checks `grad_output` against the last forward pass and gathers it
     /// into the channel-major `[oc, n*oh*ow]` rows of `scratch.gemm` that
-    /// both backward methods read. Returns the saved input's
+    /// every backward method reads. Returns the last forward input's
     /// `[n, c, h, w]`.
     fn gather_grad_output(&mut self, grad_output: &Tensor) -> [usize; 4] {
-        if !self.ready {
-            backward_before_forward("Conv2d");
-        }
-        let &[n, c, h, w] = self.saved_input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
+        let Some([n, c, h, w]) = self.input_dims else {
+            backward_before_forward("Conv2d")
         };
         let (oh, ow) = self
             .geom
@@ -168,8 +167,38 @@ impl Conv2d {
         [n, c, h, w]
     }
 
-    /// The input gradient both backward methods write, from the gathered
-    /// rows: `dcols = Wᵀ · gy`, scattered back to input space batched.
+    /// The parameter gradients `backward_into` and `backward_params_into`
+    /// accumulate, from the gathered rows and the forward's column matrix.
+    fn param_grads(&mut self) {
+        let oc = self.out_channels;
+        let n_ohw = self.scratch.gemm.shape()[1];
+
+        // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
+        // straight into the parameter gradient by the fused GEMM epilogue
+        // (no per-call weight-gradient scratch, no separate axpy pass).
+        debug_assert_eq!(
+            self.weight.grad().shape(),
+            &[oc, self.in_channels * self.geom.kh * self.geom.kw]
+        );
+        ops::matmul_nt_acc_into(
+            &self.scratch.gemm,
+            &self.scratch.cols,
+            1.0,
+            self.weight.grad_mut(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+
+        // db += row sums of gy.
+        let gy = self.scratch.gemm.data();
+        let db = self.bias.grad_mut().data_mut();
+        for ch in 0..oc {
+            db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
+        }
+    }
+
+    /// The input gradient both input-gradient methods write, from the
+    /// gathered rows: `dcols = Wᵀ · gy`, scattered back to input space
+    /// batched.
     fn input_grad_into(&mut self, [n, c, h, w]: [usize; 4], grad_input: &mut Tensor) {
         let n_ohw = self.scratch.gemm.shape()[1];
         resize_buffer(
@@ -189,16 +218,15 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, out: &mut Tensor) {
-        let (n, _h, _w, oh, ow) = self.check_input(input);
-        resize_buffer(&mut self.saved_input, input.shape());
-        self.saved_input.data_mut().copy_from_slice(input.data());
-        self.ready = true;
+        let (n, h, w, oh, ow) = self.check_input(input);
         let oc = self.out_channels;
         let ohw = oh * ow;
 
-        // One batched lowering + one packed matmul for the whole batch.
+        // One batched lowering + one packed matmul for the whole batch. The
+        // backward reads these columns again.
         im2col_batch_into(input, self.geom, &mut self.scratch.cols)
             .unwrap_or_else(|e| panic!("{e}"));
+        self.input_dims = Some([n, self.in_channels, h, w]);
         resize_buffer(&mut self.scratch.gemm, &[oc, n * ohw]);
         ops::matmul_into(
             self.weight.value(),
@@ -225,35 +253,7 @@ impl Layer for Conv2d {
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
         let dims = self.gather_grad_output(grad_output);
-        let oc = self.out_channels;
-        let n_ohw = self.scratch.gemm.shape()[1];
-
-        // Recompute the batched column matrix (not cached across the pass).
-        im2col_batch_into(&self.saved_input, self.geom, &mut self.scratch.cols)
-            .unwrap_or_else(|e| panic!("{e}"));
-
-        // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
-        // straight into the parameter gradient by the fused GEMM epilogue
-        // (no per-call weight-gradient scratch, no separate axpy pass).
-        debug_assert_eq!(
-            self.weight.grad().shape(),
-            &[oc, self.in_channels * self.geom.kh * self.geom.kw]
-        );
-        ops::matmul_nt_acc_into(
-            &self.scratch.gemm,
-            &self.scratch.cols,
-            1.0,
-            self.weight.grad_mut(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-
-        // db += row sums of gy.
-        let gy = self.scratch.gemm.data();
-        let db = self.bias.grad_mut().data_mut();
-        for ch in 0..oc {
-            db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
-        }
-
+        self.param_grads();
         self.input_grad_into(dims, grad_input);
     }
 
@@ -262,14 +262,18 @@ impl Layer for Conv2d {
         self.input_grad_into(dims, grad_input);
     }
 
+    fn backward_params_into(&mut self, grad_output: &Tensor, _scratch: &mut Tensor) {
+        self.gather_grad_output(grad_output);
+        self.param_grads();
+    }
+
     fn buffer_capacity(&self) -> usize {
-        self.scratch.capacity() + self.saved_input.capacity()
+        self.scratch.capacity()
     }
 
     fn release_buffers(&mut self) {
         self.scratch = ConvScratch::default();
-        self.saved_input = Tensor::default();
-        self.ready = false;
+        self.input_dims = None;
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -809,6 +813,35 @@ mod tests {
                 conv.scratch.capacity(),
                 warmed_capacity,
                 "scratch must not reallocate once warmed"
+            );
+        }
+    }
+
+    #[test]
+    fn conv_backward_reads_the_columns_of_the_last_forward() {
+        let x2 = Tensor::from_fn(&[3, 2, 6, 5], |i| ((i * 13 % 11) as f32 - 5.0) * 0.1);
+        let g = Tensor::from_fn(&[3, 4, 3, 3], |i| ((i * 7 % 5) as f32 - 2.0) * 0.1);
+        // An earlier forward of other values, at the same shape and at a
+        // larger batch.
+        for n1 in [3, 5] {
+            let x1 = Tensor::from_fn(&[n1, 2, 6, 5], |i| ((i * 29 % 23) as f32 - 11.0) * 0.1);
+            let mut fresh = Conv2d::new(2, 4, 3, 2, 1, &mut seeded()).unwrap();
+            let mut reused = Conv2d::new(2, 4, 3, 2, 1, &mut seeded()).unwrap();
+            fresh.forward(&x2, Mode::Train);
+            let want_dx = fresh.backward(&g);
+            reused.forward(&x1, Mode::Train);
+            reused.forward(&x2, Mode::Train);
+            let dx = reused.backward(&g);
+            assert_eq!(bits(&dx), bits(&want_dx), "batch {n1}: dx");
+            assert_eq!(
+                bits(reused.weight.grad()),
+                bits(fresh.weight.grad()),
+                "batch {n1}: dW"
+            );
+            assert_eq!(
+                bits(reused.bias.grad()),
+                bits(fresh.bias.grad()),
+                "batch {n1}: db"
             );
         }
     }

@@ -2,10 +2,13 @@
 //!
 //! Every layer implements the object-safe [`Layer`] trait:
 //! `forward` caches what `backward` needs, `backward` returns the gradient
-//! with respect to the layer input and accumulates parameter gradients, and
-//! `backward_input_into` returns the same input gradient without them.
-//! Each layer with parameters computes its input gradient in one private
-//! routine that both backward methods call, so the two agree bit for bit.
+//! with respect to the layer input and accumulates parameter gradients,
+//! `backward_input_into` returns the same input gradient without them, and
+//! `backward_params_into` accumulates the same parameter gradients without
+//! the input gradient. Each layer with parameters computes its input
+//! gradient in one private routine that both input-gradient methods call,
+//! so they agree bit for bit; [`Conv2d`] shares its parameter-gradient
+//! routine between `backward_into` and `backward_params_into` the same way.
 //! Gradient correctness of each layer is checked against finite differences
 //! in its unit tests.
 
@@ -29,14 +32,17 @@ use reveil_tensor::Tensor;
 
 use crate::Layer;
 
-/// Which of the two [`Layer`] backward methods a container runs through
-/// its children, so that both methods share one chain.
+/// Which of the three [`Layer`] backward methods a container runs through
+/// its children, so that all of them share one chain.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Backward {
     /// [`Layer::backward_into`]: input and parameter gradients.
     Full,
     /// [`Layer::backward_input_into`]: the input gradient only.
     InputOnly,
+    /// [`Layer::backward_params_into`]: the parameter gradients only;
+    /// `grad_input` is scratch.
+    ParamsOnly,
 }
 
 impl Backward {
@@ -45,6 +51,7 @@ impl Backward {
         match self {
             Backward::Full => layer.backward_into(grad_output, grad_input),
             Backward::InputOnly => layer.backward_input_into(grad_output, grad_input),
+            Backward::ParamsOnly => layer.backward_params_into(grad_output, grad_input),
         }
     }
 }

@@ -9,12 +9,20 @@
 //! the activation and gradient at every interior layer boundary of the last
 //! pass.
 //!
-//! Every layer has two backward methods. [`Layer::backward_into`] is the
-//! training backward: it returns the input gradient and accumulates every
-//! parameter gradient. [`Layer::backward_input_into`] returns the same
-//! input gradient, bit for bit, and touches no parameter gradient. Neural
-//! Cleanse and GradCAM use it, through [`Network::backward_input_into`],
-//! because they differentiate with respect to the input only.
+//! Every layer has three backward methods, and each caller runs the one
+//! that computes only what it reads:
+//!
+//! * [`Layer::backward_into`] returns the input gradient and accumulates
+//!   every parameter gradient. [`Network::backward_to_input_into`] runs
+//!   it, for callers that read both.
+//! * [`Layer::backward_input_into`] returns the same input gradient, bit
+//!   for bit, and touches no parameter gradient. Neural Cleanse and
+//!   GradCAM use it, through [`Network::backward_input_into`], because
+//!   they differentiate with respect to the input only.
+//! * [`Layer::backward_params_into`] accumulates the same parameter
+//!   gradients, bit for bit, and need not compute the input gradient.
+//!   Training uses it, through [`Network::backward_params_into`], because
+//!   an optimizer step reads no input gradient.
 //!
 //! Contents:
 //!
@@ -86,16 +94,21 @@ pub enum Mode {
 ///
 /// Layers cache whatever they need during [`Layer::forward_into`] so that
 /// the next backward call can produce the gradient with respect to the
-/// layer input. There are two backward methods:
+/// layer input. There are three backward methods:
 ///
-/// * [`Layer::backward_into`] also accumulates the parameter gradients
-///   (the training step);
+/// * [`Layer::backward_into`] writes the input gradient and accumulates
+///   the parameter gradients (a caller that reads both, such as
+///   [`Network::backward_to_input_into`]);
 /// * [`Layer::backward_input_into`] writes the same input gradient, bit
 ///   for bit, and touches no parameter gradient (input-space optimisation
-///   and attribution). Layers with parameters skip their weight-gradient
-///   work here.
+///   and attribution: Neural Cleanse, GradCAM). Layers with parameters
+///   skip their weight-gradient work here;
+/// * [`Layer::backward_params_into`] accumulates the same parameter
+///   gradients, bit for bit, for a caller that reads no input gradient
+///   (the training step, through [`Network::backward_params_into`]).
+///   [`Conv2d`](layers::Conv2d) skips its input-gradient work here.
 ///
-/// Both fill a container's boundary gradients
+/// All three fill a container's boundary gradients
 /// ([`Sequential::boundary_grads`]) identically.
 ///
 /// # Buffer-reuse contract
@@ -105,8 +118,8 @@ pub enum Mode {
 /// [`reveil_tensor::Tensor::resize_for_overwrite`], so its allocation is
 /// reused once warmed up) and keep whatever state the backward pass needs
 /// in reusable internal buffers instead of cloning tensors per call. After
-/// one warm-up pass at a given shape, a layer's `forward_into` and both
-/// backward methods perform **no heap allocations** — the property that
+/// one warm-up pass at a given shape, a layer's `forward_into` and every
+/// backward method perform **no heap allocations** — the property that
 /// keeps the training loop and the defense audits allocation-free (see
 /// `TrainStep` in [`train`]). The output tensor must be distinct from the
 /// input (the `&`/`&mut` signature enforces this), and results are
@@ -165,6 +178,29 @@ pub trait Layer: Send {
         grad_input: &mut reveil_tensor::Tensor,
     ) {
         self.backward_into(grad_output, grad_input);
+    }
+
+    /// Accumulates the same parameter gradients as [`Layer::backward_into`],
+    /// bit for bit, for a caller that reads no input gradient. `scratch`
+    /// may be written or left untouched; its contents afterwards mean
+    /// nothing.
+    ///
+    /// The default delegates to [`Layer::backward_into`]. [`Conv2d`]
+    /// overrides it and skips its input gradient; a [`Sequential`] runs
+    /// only its first layer this way, since every later layer's input
+    /// gradient feeds the layer before it.
+    ///
+    /// [`Conv2d`]: layers::Conv2d
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Layer::backward_into`].
+    fn backward_params_into(
+        &mut self,
+        grad_output: &reveil_tensor::Tensor,
+        scratch: &mut reveil_tensor::Tensor,
+    ) {
+        self.backward_into(grad_output, scratch);
     }
 
     /// Allocating wrapper over [`Layer::forward_into`]: returns the output

@@ -14,8 +14,10 @@ use crate::{Layer, Mode, NnError, Param, Sequential};
 /// GradCAM pairs them with their gradients
 /// ([`Network::backbone_boundary_grads`]), and Neural Cleanse needs input
 /// gradients only ([`Network::backward_input_into`], which leaves the
-/// parameter gradients untouched). Training uses
-/// [`Network::backward_to_input_into`], which also accumulates them.
+/// parameter gradients untouched). Training reads only the parameter
+/// gradients and uses [`Network::backward_params_into`], which need not
+/// compute the input gradient. [`Network::backward_to_input_into`]
+/// computes both, for callers that read both.
 pub struct Network {
     backbone: Sequential,
     head: Sequential,
@@ -84,7 +86,7 @@ impl Network {
 
     /// Full forward pass into a caller-provided logits tensor, reusing its
     /// allocation and the network's internal feature buffer — together with
-    /// [`Network::backward_to_input_into`] this is the zero-allocation
+    /// [`Network::backward_params_into`] this is the zero-allocation
     /// training-step path (see the [`Layer`] buffer-reuse contract).
     pub fn forward_into(&mut self, input: &Tensor, mode: Mode, logits: &mut Tensor) {
         self.backbone
@@ -138,6 +140,20 @@ impl Network {
             .backward_into(grad_logits, &mut self.grad_features_buf);
         self.backbone
             .backward_into(&self.grad_features_buf, grad_input);
+    }
+
+    /// Parameter-only backward pass: accumulates the same parameter
+    /// gradients and writes the same backbone boundary gradients as
+    /// [`Network::backward_to_input_into`], bit for bit, but need not
+    /// compute the input gradient (see [`Layer::backward_params_into`]).
+    /// The head runs its full backward, the backbone its parameter-only
+    /// one. `scratch` may be written or left untouched; the training step
+    /// passes one buffer it keeps across steps and never reads.
+    pub fn backward_params_into(&mut self, grad_logits: &Tensor, scratch: &mut Tensor) {
+        self.head
+            .backward_into(grad_logits, &mut self.grad_features_buf);
+        self.backbone
+            .backward_params_into(&self.grad_features_buf, scratch);
     }
 
     /// Input-gradient-only backward pass: writes the same input gradient

@@ -19,8 +19,14 @@ use crate::{Layer, Mode, Param};
 /// The same buffers expose the interior of the last pass:
 /// [`Sequential::boundary_outputs`] and [`Sequential::boundary_grads`] pair
 /// each interior activation with its gradient (GradCAM), and Beatrix reads
-/// spatial activations from the forward side. Both backward methods fill
-/// the gradient buffers identically.
+/// spatial activations from the forward side.
+///
+/// All three backward methods run one chain and fill the gradient buffers
+/// identically. [`Layer::backward_into`] and [`Layer::backward_input_into`]
+/// run that method through every layer. [`Layer::backward_params_into`]
+/// runs only the first layer that way and every later one through
+/// [`Layer::backward_into`], because each later layer's input gradient is
+/// the gradient the layer before it reads.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -77,7 +83,7 @@ impl Sequential {
     }
 
     /// The pooled layer-boundary gradients of the last backward pass
-    /// (either backward method), indexed like
+    /// (any backward method), indexed like
     /// [`Sequential::boundary_outputs`]: `boundary_grads()[i]` is the
     /// gradient with respect to layer `i`'s output.
     pub fn boundary_grads(&self) -> &[Tensor] {
@@ -98,7 +104,8 @@ impl Sequential {
     }
 
     /// Runs `backward` through the layers in reverse, ping-ponging the
-    /// gradients through the boundary buffers.
+    /// gradients through the boundary buffers. A parameter-only backward
+    /// runs the full backward through every layer but the first.
     fn backward_chain(
         &mut self,
         backward: Backward,
@@ -119,6 +126,10 @@ impl Sequential {
                 &mut *grad_input
             } else {
                 &mut prev[i - 1]
+            };
+            let backward = match backward {
+                Backward::ParamsOnly if i > 0 => Backward::Full,
+                _ => backward,
             };
             backward.run(self.layers[i].as_mut(), src, dst);
         }
@@ -148,6 +159,10 @@ impl Layer for Sequential {
 
     fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
         self.backward_chain(Backward::InputOnly, grad_output, grad_input);
+    }
+
+    fn backward_params_into(&mut self, grad_output: &Tensor, scratch: &mut Tensor) {
+        self.backward_chain(Backward::ParamsOnly, grad_output, scratch);
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -3,8 +3,10 @@
 //! The hot path is [`TrainStep`]: one forward → loss → backward →
 //! optimizer step through the pooled-buffer substrate
 //! ([`Network::forward_into`], [`crate::loss::softmax_cross_entropy_into`],
-//! [`Network::backward_to_input_into`] and the fused optimizer sweeps), so
-//! a warmed-up step performs **zero heap allocations**. [`Trainer`] drives
+//! [`Network::backward_params_into`] and the fused optimizer sweeps), so
+//! a warmed-up step performs **zero heap allocations**. The backward
+//! computes only the parameter gradients the optimizer reads, not the
+//! gradient with respect to the batch. [`Trainer`] drives
 //! `TrainStep` over shuffled mini-batches with every per-epoch buffer
 //! (batch gather, labels, shuffle order) reused across iterations.
 
@@ -113,14 +115,15 @@ impl TrainConfig {
 /// Reusable buffers for one full training step: forward → loss →
 /// backward → optimizer step.
 ///
-/// Holds the logits, loss-gradient and input-gradient tensors across
+/// Holds the logits, loss-gradient and backward-scratch tensors across
 /// batches, so after the first (warm-up) batch at a given shape a step
 /// allocates nothing — the per-layer buffers, the GEMM pack scratch and
 /// the optimizer state are likewise reused (see the [`crate::Layer`]
-/// buffer-reuse contract). Results are bit-identical to driving the
-/// allocating wrappers ([`Network::forward`] /
-/// [`crate::loss::softmax_cross_entropy`] / [`Network::backward_to_input`])
-/// by hand.
+/// buffer-reuse contract). The backward is
+/// [`Network::backward_params_into`], which skips the input gradient no
+/// step reads. Results are bit-identical to driving the allocating
+/// wrappers ([`Network::forward`] / [`crate::loss::softmax_cross_entropy`]
+/// / [`Network::backward_to_input`]) by hand.
 ///
 /// # Example
 ///
@@ -143,7 +146,8 @@ impl TrainConfig {
 pub struct TrainStep {
     logits: Tensor,
     grad_logits: Tensor,
-    grad_input: Tensor,
+    /// The backward's scratch; never read.
+    scratch: Tensor,
 }
 
 impl TrainStep {
@@ -155,8 +159,8 @@ impl TrainStep {
 
     /// Runs one training step on `batch` (`[n, c, h, w]`) with `labels`
     /// (`n` class indices): forward in [`Mode::Train`], softmax
-    /// cross-entropy, gradient reset, backward, optimizer step. Returns
-    /// the batch loss.
+    /// cross-entropy, gradient reset, parameter-only backward, optimizer
+    /// step. Returns the batch loss.
     ///
     /// # Errors
     ///
@@ -172,15 +176,15 @@ impl TrainStep {
         network.forward_into(batch, Mode::Train, &mut self.logits);
         let loss = softmax_cross_entropy_into(&self.logits, labels, &mut self.grad_logits)?;
         network.zero_grads();
-        network.backward_to_input_into(&self.grad_logits, &mut self.grad_input);
+        network.backward_params_into(&self.grad_logits, &mut self.scratch);
         optimizer.step(network);
         Ok(loss)
     }
 
     /// Total capacity in scalars of the step's own reusable buffers
-    /// (logits, loss gradient, input gradient) — stable once warmed up.
+    /// (logits, loss gradient, backward scratch) — stable once warmed up.
     pub fn buffer_capacity(&self) -> usize {
-        self.logits.capacity() + self.grad_logits.capacity() + self.grad_input.capacity()
+        self.logits.capacity() + self.grad_logits.capacity() + self.scratch.capacity()
     }
 }
 

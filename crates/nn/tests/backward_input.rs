@@ -1,10 +1,14 @@
-//! The input-gradient-only backward, pinned against the training backward.
+//! The input-gradient-only and the parameter-only backward, pinned against
+//! the full backward.
 //!
 //! For every layer that overrides `Layer::backward_input_into` and for
-//! every model family, after an Eval and after a Train forward pass,
-//! `backward_input_into` must give the input gradient (and, for networks,
-//! the backbone boundary gradients) of `backward_into` bit for bit, and
-//! must leave every parameter gradient exactly as it found it.
+//! every model family, after an Eval and after a Train forward pass:
+//! * `backward_input_into` must give the input gradient (and, for
+//!   networks, the backbone boundary gradients) of `backward_into` bit for
+//!   bit, and must leave every parameter gradient exactly as it found it;
+//! * `backward_params_into` must leave every parameter gradient (and, for
+//!   networks, every backbone boundary gradient) exactly as `backward_into`
+//!   does, bit for bit, from the same starting gradients.
 
 use rand::rngs::StdRng;
 
@@ -31,6 +35,13 @@ fn fill_sentinel(p: &mut Param) {
     p.grad_mut().data_mut().fill(SENTINEL);
 }
 
+/// The bits of every parameter gradient, in `visit_params` order.
+fn grad_bits(visit: impl FnOnce(&mut dyn FnMut(&mut Param))) -> Vec<Vec<u32>> {
+    let mut grads = Vec::new();
+    visit(&mut |p: &mut Param| grads.push(bits(p.grad())));
+    grads
+}
+
 /// Whether every parameter gradient still holds the sentinel, and whether
 /// any of them is non-zero, over one `visit_params` walk.
 fn grad_summary(visit: impl FnOnce(&mut dyn FnMut(&mut Param))) -> (bool, bool) {
@@ -43,6 +54,27 @@ fn grad_summary(visit: impl FnOnce(&mut dyn FnMut(&mut Param))) -> (bool, bool) 
 }
 
 type Factory = fn(&mut StdRng) -> Box<dyn Layer>;
+
+/// Two identical instances of a layer, each after a Train warm-up pass
+/// (which gives batch-norm running statistics something other than their
+/// initial values) and one `mode` forward pass, and an output gradient.
+fn forwarded_layers(
+    make: Factory,
+    shape: &[usize],
+    mode: Mode,
+) -> (Box<dyn Layer>, Box<dyn Layer>, Tensor) {
+    let (mut a, mut b) = (
+        make(&mut rng::rng_from_seed(5)),
+        make(&mut rng::rng_from_seed(5)),
+    );
+    let warm = probe(shape, 7);
+    a.forward(&warm, Mode::Train);
+    b.forward(&warm, Mode::Train);
+    let x = probe(shape, 0);
+    let y = a.forward(&x, mode);
+    assert_eq!(bits(&y), bits(&b.forward(&x, mode)));
+    (a, b, probe(y.shape(), 3))
+}
 
 /// Every layer that overrides `backward_input_into`, with an input shape.
 fn overriding_layers() -> Vec<(&'static str, Factory, Vec<usize>)> {
@@ -121,24 +153,7 @@ fn overriding_layers() -> Vec<(&'static str, Factory, Vec<usize>)> {
 fn every_overriding_layer_matches_backward_into_and_leaves_param_grads() {
     for (name, make, shape) in overriding_layers() {
         for mode in [Mode::Eval, Mode::Train] {
-            // Two identical instances; a Train warm-up pass gives batch-norm
-            // running statistics something other than their initial values.
-            let (mut full, mut input_only) = (
-                make(&mut rng::rng_from_seed(5)),
-                make(&mut rng::rng_from_seed(5)),
-            );
-            let warm = probe(&shape, 7);
-            full.forward(&warm, Mode::Train);
-            input_only.forward(&warm, Mode::Train);
-
-            let x = probe(&shape, 0);
-            let y = full.forward(&x, mode);
-            assert_eq!(
-                bits(&y),
-                bits(&input_only.forward(&x, mode)),
-                "{name} {mode:?}"
-            );
-            let g = probe(y.shape(), 3);
+            let (mut full, mut input_only, g) = forwarded_layers(make, &shape, mode);
 
             full.visit_params(&mut |p| p.zero_grad());
             let mut dx_full = Tensor::default();
@@ -168,6 +183,26 @@ fn every_overriding_layer_matches_backward_into_and_leaves_param_grads() {
     }
 }
 
+#[test]
+fn params_only_backward_matches_backward_into_for_every_overriding_layer() {
+    for (name, make, shape) in overriding_layers() {
+        for mode in [Mode::Eval, Mode::Train] {
+            let (mut full, mut params_only, g) = forwarded_layers(make, &shape, mode);
+            full.visit_params(&mut fill_sentinel);
+            params_only.visit_params(&mut fill_sentinel);
+
+            full.backward_into(&g, &mut Tensor::default());
+            params_only.backward_params_into(&g, &mut Tensor::default());
+
+            assert_eq!(
+                grad_bits(|f| params_only.visit_params(f)),
+                grad_bits(|f| full.visit_params(f)),
+                "{name} {mode:?}: parameter gradients differ"
+            );
+        }
+    }
+}
+
 const FAMILIES: [ModelFamily; 6] = [
     ModelFamily::MlpProbe,
     ModelFamily::TinyCnn,
@@ -181,24 +216,29 @@ fn family_net(family: ModelFamily) -> Network {
     family.build(3, 8, 8, 4, 4, 21)
 }
 
+/// Two identical networks of `family`, each after a Train warm-up pass and
+/// one `mode` forward pass, and a logits gradient.
+fn forwarded_nets(family: ModelFamily, mode: Mode) -> (Network, Network, Tensor) {
+    let (mut a, mut b) = (family_net(family), family_net(family));
+    let warm = probe(&[4, 3, 8, 8], 7);
+    a.forward(&warm, Mode::Train);
+    b.forward(&warm, Mode::Train);
+    let x = probe(&[2, 3, 8, 8], 0);
+    let logits = a.forward(&x, mode);
+    assert_eq!(bits(&logits), bits(&b.forward(&x, mode)));
+    (a, b, probe(logits.shape(), 3))
+}
+
+fn boundary_bits(net: &Network) -> Vec<Vec<u32>> {
+    net.backbone_boundary_grads().iter().map(bits).collect()
+}
+
 #[test]
 fn every_model_family_matches_backward_to_input_and_leaves_param_grads() {
     for family in FAMILIES {
         for mode in [Mode::Eval, Mode::Train] {
             let label = family.label();
-            let (mut full, mut input_only) = (family_net(family), family_net(family));
-            let warm = probe(&[4, 3, 8, 8], 7);
-            full.forward(&warm, Mode::Train);
-            input_only.forward(&warm, Mode::Train);
-
-            let x = probe(&[2, 3, 8, 8], 0);
-            let logits = full.forward(&x, mode);
-            assert_eq!(
-                bits(&logits),
-                bits(&input_only.forward(&x, mode)),
-                "{label} {mode:?}"
-            );
-            let g = probe(logits.shape(), 3);
+            let (mut full, mut input_only, g) = forwarded_nets(family, mode);
 
             full.zero_grads();
             let mut dx_full = Tensor::default();
@@ -208,18 +248,15 @@ fn every_model_family_matches_backward_to_input_and_leaves_param_grads() {
             let mut dx = Tensor::default();
             input_only.backward_input_into(&g, &mut dx);
 
-            assert_eq!(dx.shape(), x.shape(), "{label} {mode:?}");
+            assert_eq!(dx.shape(), &[2, 3, 8, 8], "{label} {mode:?}");
             assert_eq!(
                 bits(&dx),
                 bits(&dx_full),
                 "{label} {mode:?}: input gradient differs"
             );
-            let boundary = |net: &Network| -> Vec<Vec<u32>> {
-                net.backbone_boundary_grads().iter().map(bits).collect()
-            };
             assert_eq!(
-                boundary(&input_only),
-                boundary(&full),
+                boundary_bits(&input_only),
+                boundary_bits(&full),
                 "{label} {mode:?}: boundary gradients differ"
             );
             let (untouched, _) = grad_summary(|f| input_only.visit_params(f));
@@ -231,6 +268,32 @@ fn every_model_family_matches_backward_to_input_and_leaves_param_grads() {
             assert!(
                 accumulated,
                 "{label} {mode:?}: backward_to_input accumulated no gradient"
+            );
+        }
+    }
+}
+
+#[test]
+fn params_only_backward_matches_backward_to_input_for_every_model_family() {
+    for family in FAMILIES {
+        for mode in [Mode::Eval, Mode::Train] {
+            let label = family.label();
+            let (mut full, mut params_only, g) = forwarded_nets(family, mode);
+            full.visit_params(&mut fill_sentinel);
+            params_only.visit_params(&mut fill_sentinel);
+
+            full.backward_to_input_into(&g, &mut Tensor::default());
+            params_only.backward_params_into(&g, &mut Tensor::default());
+
+            assert_eq!(
+                grad_bits(|f| params_only.visit_params(f)),
+                grad_bits(|f| full.visit_params(f)),
+                "{label} {mode:?}: parameter gradients differ"
+            );
+            assert_eq!(
+                boundary_bits(&params_only),
+                boundary_bits(&full),
+                "{label} {mode:?}: boundary gradients differ"
             );
         }
     }

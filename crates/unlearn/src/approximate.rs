@@ -85,6 +85,9 @@ pub fn gradient_ascent(
     let retain = dataset.without_indices(forget);
     let mut ascent = Sgd::new(config.lr);
     let mut descent = Sgd::new(config.lr * 0.5);
+    // The steps read parameter gradients only; the backward's scratch is
+    // kept across them.
+    let mut scratch = Tensor::default();
 
     for step in 0..config.steps {
         // One ascent mini-batch over the forget set (cyclic).
@@ -103,7 +106,7 @@ pub fn gradient_ascent(
         let (_, mut grad) = softmax_cross_entropy(&logits, &labels)?;
         grad.scale(-1.0); // ascend
         network.zero_grads();
-        network.backward_to_input(&grad);
+        network.backward_params_into(&grad, &mut scratch);
         ascent.step(network);
 
         if config.stabilise_with_retain && !retain.is_empty() {
@@ -118,7 +121,7 @@ pub fn gradient_ascent(
             let logits = network.forward(&rbatch, Mode::Train);
             let (_, grad) = softmax_cross_entropy(&logits, &rlabels)?;
             network.zero_grads();
-            network.backward_to_input(&grad);
+            network.backward_params_into(&grad, &mut scratch);
             descent.step(network);
         }
     }
