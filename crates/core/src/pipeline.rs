@@ -66,12 +66,6 @@ impl PoisonedTrainingSet {
         self.camouflage_range.clone().collect()
     }
 
-    /// The poison-sample indices (for ablations that unlearn poison
-    /// instead).
-    pub fn poison_indices(&self) -> Vec<usize> {
-        self.poison_range.clone().collect()
-    }
-
     /// Effective poisoning ratio `|D_P| / |D|` of the assembled set.
     pub fn effective_poison_ratio(&self) -> f32 {
         self.poison_range.len() as f32 / self.clean_range.len().max(1) as f32

@@ -85,13 +85,6 @@ impl DatasetKind {
             _ => (32, 32),
         }
     }
-
-    /// The attack target label used by the paper for this dataset
-    /// ('airplane', 'Speed Limit 20', 'apple', 'goldfish' — all class 0 in
-    /// our synthetic indexing).
-    pub fn paper_target_label(self) -> usize {
-        0
-    }
 }
 
 impl std::fmt::Display for DatasetKind {

@@ -34,7 +34,8 @@ use crate::error::EvalError;
 /// Scale at which an experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Profile {
-    /// Seconds per cell; used by integration tests and criterion benches.
+    /// Seconds per cell; used by integration tests and the benchmark's
+    /// `suite-smoke` workload.
     Smoke,
     /// A few seconds to a minute per cell; the default of
     /// `reveil-experiments`.

@@ -265,11 +265,6 @@ impl Network {
     pub fn backbone_boundary_grads(&self) -> &[Tensor] {
         self.backbone.boundary_grads()
     }
-
-    /// Layer names of the backbone in order (diagnostics).
-    pub fn backbone_layer_names(&self) -> Vec<&'static str> {
-        self.backbone.layer_names()
-    }
 }
 
 #[cfg(test)]

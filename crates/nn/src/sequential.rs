@@ -90,11 +90,6 @@ impl Sequential {
         &self.bwd_bufs
     }
 
-    /// Layer names in order (diagnostics).
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
-    }
-
     /// Grows a boundary-buffer vector to `len` entries (existing buffers
     /// keep their allocations).
     fn ensure_bufs(bufs: &mut Vec<Tensor>, len: usize) {

@@ -48,13 +48,11 @@ pub struct TrainConfig {
     pub schedule: LrSchedule,
     /// Seed controlling shuffle order.
     pub seed: u64,
-    /// Whether to reshuffle the training set every epoch.
-    pub shuffle: bool,
 }
 
 impl TrainConfig {
     /// Creates a config with the given epochs, batch size and learning rate
-    /// (no weight decay, constant LR, shuffling on, seed 0).
+    /// (no weight decay, constant LR, seed 0).
     pub fn new(epochs: usize, batch_size: usize, lr: f32) -> Self {
         Self {
             epochs,
@@ -63,7 +61,6 @@ impl TrainConfig {
             weight_decay: 0.0,
             schedule: LrSchedule::Constant,
             seed: 0,
-            shuffle: true,
         }
     }
 
@@ -78,7 +75,6 @@ impl TrainConfig {
             weight_decay: 1e-4,
             schedule: LrSchedule::Cosine { t_max: epochs },
             seed: 0,
-            shuffle: true,
         }
     }
 
@@ -100,14 +96,6 @@ impl TrainConfig {
     #[must_use]
     pub fn with_cosine_schedule(mut self, t_max: usize) -> Self {
         self.schedule = LrSchedule::Cosine { t_max };
-        self
-    }
-
-    /// Disables per-epoch shuffling (builder style; useful for
-    /// deterministic unit tests).
-    #[must_use]
-    pub fn without_shuffle(mut self) -> Self {
-        self.shuffle = false;
         self
     }
 }
@@ -268,14 +256,8 @@ impl Trainer {
             };
             optimizer.set_lr(lr);
 
-            if cfg.shuffle {
-                let mut r =
-                    rng::rng_from_seed(rng::derive_seed(cfg.seed, 0xE90C_0000 | epoch as u64));
-                rng::permutation_into(n, &mut r, &mut order);
-            } else {
-                order.clear();
-                order.extend(0..n);
-            }
+            let mut r = rng::rng_from_seed(rng::derive_seed(cfg.seed, 0xE90C_0000 | epoch as u64));
+            rng::permutation_into(n, &mut r, &mut order);
 
             let mut loss_sum = 0.0f32;
             let mut batches = 0usize;

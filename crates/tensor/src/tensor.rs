@@ -108,11 +108,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Flat (row-major) offset of a multi-dimensional index.
     ///
     /// # Panics

@@ -12,7 +12,7 @@
 //! This crate provides:
 //!
 //! * [`SisaEnsemble`] — sharded training, checkpointing, exact unlearning,
-//!   mean-probability or majority-vote aggregation;
+//!   mean-probability aggregation;
 //! * [`exact::retrain_from_scratch`] — the gold-standard baseline;
 //! * [`approximate`] — gradient-ascent and retain-set fine-tuning
 //!   baselines, covering the paper's §VI discussion that ReVeil should
@@ -29,7 +29,7 @@
 //! use reveil_datasets::LabeledDataset;
 //! use reveil_nn::{models, train::TrainConfig};
 //! use reveil_tensor::Tensor;
-//! use reveil_unlearn::{Aggregation, SisaConfig, SisaEnsemble};
+//! use reveil_unlearn::{SisaConfig, SisaEnsemble};
 //!
 //! # fn main() -> Result<(), reveil_unlearn::UnlearnError> {
 //! let mut data = LabeledDataset::new("toy", 2);
@@ -62,7 +62,7 @@ mod sisa;
 mod unlearner;
 
 pub use error::UnlearnError;
-pub use sisa::{Aggregation, SisaConfig, SisaEnsemble, UnlearnReport};
+pub use sisa::{SisaConfig, SisaEnsemble, UnlearnReport};
 pub use unlearner::{
     FinetuneUnlearner, GradientAscentUnlearner, RetrainUnlearner, UnlearnMethod, UnlearnOutcome,
     UnlearnRequest, Unlearner,

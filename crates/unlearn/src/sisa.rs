@@ -10,18 +10,7 @@ use reveil_tensor::{ops, parallel, rng, Tensor};
 
 use crate::error::UnlearnError;
 
-/// How the shard models' predictions are combined at inference time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Aggregation {
-    /// Average the shard softmax distributions, then argmax (default; what
-    /// SISA's authors recommend for accuracy).
-    #[default]
-    MeanProb,
-    /// Each shard votes its argmax; ties break towards the lower class id.
-    MajorityVote,
-}
-
-/// SISA topology and aggregation configuration.
+/// SISA topology configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SisaConfig {
     /// Number of shards `S` (independent constituent models).
@@ -30,8 +19,6 @@ pub struct SisaConfig {
     pub num_slices: usize,
     /// Seed for the shard partition.
     pub seed: u64,
-    /// Inference aggregation rule.
-    pub aggregation: Aggregation,
 }
 
 impl SisaConfig {
@@ -41,7 +28,6 @@ impl SisaConfig {
             num_shards,
             num_slices,
             seed: 0,
-            aggregation: Aggregation::MeanProb,
         }
     }
 
@@ -52,19 +38,12 @@ impl SisaConfig {
         self
     }
 
-    /// Sets the aggregation rule (builder style).
-    #[must_use]
-    pub fn with_aggregation(mut self, aggregation: Aggregation) -> Self {
-        self.aggregation = aggregation;
-        self
-    }
-
     /// Validates the topology against the dataset it will partition.
     ///
     /// Rejecting `num_shards > dataset_len` here matters beyond tidiness:
     /// the partition would leave at least one shard with zero members, that
     /// shard's model would "train" on nothing and stay at its random
-    /// initialisation, and `MeanProb` aggregation would average its
+    /// initialisation, and mean-probability aggregation would average its
     /// near-uniform softmax into every prediction — silently skewing the
     /// whole ensemble rather than failing.
     fn validate(&self, dataset_len: usize) -> Result<(), UnlearnError> {
@@ -80,7 +59,7 @@ impl SisaConfig {
             return Err(UnlearnError::InvalidConfig {
                 message: format!(
                     "dataset of {dataset_len} samples cannot fill {} shards \
-                     (empty shards would skew MeanProb aggregation)",
+                     (empty shards would skew mean-probability aggregation)",
                     self.num_shards
                 ),
             });
@@ -317,7 +296,8 @@ impl SisaEnsemble {
         Ok(report)
     }
 
-    /// Aggregated class probabilities for a batch of images.
+    /// Aggregated class probabilities for a batch of images: the mean of
+    /// the shard models' softmax distributions, summed in shard order.
     ///
     /// # Panics
     ///
@@ -325,35 +305,13 @@ impl SisaEnsemble {
     pub fn predict_probs(&mut self, images: &[Tensor]) -> Tensor {
         assert!(!images.is_empty(), "cannot predict on an empty batch");
         let k = self.shards[0].model.num_classes();
-        let n = images.len();
-        match self.config.aggregation {
-            Aggregation::MeanProb => {
-                let mut acc = Tensor::zeros(&[n, k]);
-                for shard in &mut self.shards {
-                    let probs = train::predict_probs(&mut shard.model, images, 64);
-                    acc += &probs;
-                }
-                acc.scale(1.0 / self.shards.len() as f32);
-                acc
-            }
-            Aggregation::MajorityVote => {
-                let mut votes = vec![vec![0usize; k]; n];
-                for shard in &mut self.shards {
-                    let labels = train::predict_labels(&mut shard.model, images, 64);
-                    for (i, l) in labels.into_iter().enumerate() {
-                        votes[i][l] += 1;
-                    }
-                }
-                let mut out = Tensor::zeros(&[n, k]);
-                for (i, row) in votes.iter().enumerate() {
-                    let total: usize = row.iter().sum();
-                    for (j, &v) in row.iter().enumerate() {
-                        out.data_mut()[i * k + j] = v as f32 / total.max(1) as f32;
-                    }
-                }
-                out
-            }
+        let mut acc = Tensor::zeros(&[images.len(), k]);
+        for shard in &mut self.shards {
+            let probs = train::predict_probs(&mut shard.model, images, 64);
+            acc += &probs;
         }
+        acc.scale(1.0 / self.shards.len() as f32);
+        acc
     }
 }
 
@@ -462,27 +420,35 @@ mod tests {
     }
 
     #[test]
-    fn majority_vote_matches_meanprob_on_easy_data() {
+    fn predict_probs_is_the_mean_of_the_shard_softmaxes() {
         let data = toy_dataset(30);
-        // Longer training than quick_train(): every shard model must be
-        // confident on this trivially separable task, otherwise a single
-        // near-tie shard can legitimately split the two aggregations.
-        let confident_train = TrainConfig::new(8, 8, 0.05).with_seed(5);
-        let mut a = SisaEnsemble::train(
-            SisaConfig::new(3, 2).with_aggregation(Aggregation::MeanProb),
-            confident_train.clone(),
+        let images = &data.images()[..10];
+        let check = |sisa: &mut SisaEnsemble, when: &str| {
+            let probs = sisa.predict_probs(images);
+            // The shard-order sum of every shard model's softmax, scaled by 1/S.
+            let mut expected = Tensor::zeros(&[10, 2]);
+            for shard in &mut sisa.shards {
+                expected += &train::predict_probs(&mut shard.model, images, 64);
+            }
+            expected.scale(1.0 / sisa.num_shards() as f32);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&probs), bits(&expected), "{when}");
+            for row in probs.data().chunks(2) {
+                let total: f32 = row.iter().sum();
+                assert!((total - 1.0).abs() < 1e-5, "{when}: row sums to {total}");
+            }
+        };
+        let mut sisa = SisaEnsemble::train(
+            SisaConfig::new(3, 2).with_seed(6),
+            quick_train(),
             factory(),
             &data,
         )
         .unwrap();
-        let mut b = SisaEnsemble::train(
-            SisaConfig::new(3, 2).with_aggregation(Aggregation::MajorityVote),
-            confident_train,
-            factory(),
-            &data,
-        )
-        .unwrap();
-        assert_eq!(a.predict(data.images()), b.predict(data.images()));
+        check(&mut sisa, "after training");
+        let victim = sisa.shard_members(1)[0];
+        sisa.unlearn(&[victim].into_iter().collect()).unwrap();
+        check(&mut sisa, "after unlearning");
     }
 
     #[test]
@@ -580,7 +546,7 @@ mod tests {
     #[test]
     fn oversharded_config_is_rejected_at_fit_time() {
         // Regression: num_shards > dataset.len() used to leave empty shards
-        // whose untrained models skewed MeanProb aggregation. The exact
+        // whose untrained models skewed mean-probability aggregation. The exact
         // boundary must still work (one sample per shard)...
         let data = toy_dataset(6);
         assert!(
