@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use reveil_tensor::{rng, Tensor};
+use reveil_tensor::{math, rng, Tensor};
 
 use crate::{DatasetKind, LabeledDataset};
 
@@ -211,7 +211,7 @@ impl ClassPrototype {
                     let mut v = base[ch] + grad * grad_color[ch];
                     for (center, radius, color) in &blobs {
                         let d2 = (fx - center[0]).powi(2) + (fy - center[1]).powi(2);
-                        v += color[ch] * (-d2 / (2.0 * radius * radius)).exp();
+                        v += color[ch] * math::exp(-d2 / (2.0 * radius * radius));
                     }
                     canvas.set(&[ch, y, x], v.clamp(0.0, 1.0));
                 }

@@ -2,6 +2,7 @@
 
 use reveil_nn::loss::softmax_cross_entropy_into;
 use reveil_nn::Network;
+use reveil_tensor::math::sigmoid;
 use reveil_tensor::{rng, Tensor};
 
 use crate::audit::{check_geometry, AuditInputs, Defense, DefenseVerdict};
@@ -66,10 +67,6 @@ pub struct NeuralCleanseReport {
 
 /// The detection threshold on the anomaly index (paper: 2).
 pub const DETECTION_THRESHOLD: f32 = 2.0;
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// Minimal Adam state over a flat parameter vector (the mask/pattern
 /// variables live outside the network, so `reveil_nn::optim` does not

@@ -7,6 +7,7 @@
 //! σ(x) for SiLU, so that its backward takes no second `exp`. Both passes
 //! are allocation-free once warmed up.
 
+use reveil_tensor::math::sigmoid;
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
@@ -124,8 +125,17 @@ impl Layer for Relu6 {
     }
 }
 
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+/// SiLU's forward sweep: `out = x·σ(x)`, saving x and σ(x). The slices
+/// are distinct arguments, so the compiler knows they do not overlap and
+/// vectorizes the loop, [`sigmoid`] included.
+fn silu_forward(x: &[f32], saved_x: &mut [f32], saved_s: &mut [f32], out: &mut [f32]) {
+    let saved = saved_x.iter_mut().zip(saved_s);
+    for ((o, (saved_x, saved_s)), &x) in out.iter_mut().zip(saved).zip(x) {
+        let s = sigmoid(x);
+        *saved_x = x;
+        *saved_s = s;
+        *o = x * s;
+    }
 }
 
 /// Sigmoid-weighted linear unit (swish), `y = x·σ(x)` — EfficientNet's
@@ -152,18 +162,12 @@ impl Layer for Silu {
         resize_buffer(out, input.shape());
         resize_buffer(&mut self.saved_input, input.shape());
         resize_buffer(&mut self.saved_sigmoid, input.shape());
-        let saved = self
-            .saved_input
-            .data_mut()
-            .iter_mut()
-            .zip(self.saved_sigmoid.data_mut());
-        for ((o, (saved_x, saved_s)), &x) in out.data_mut().iter_mut().zip(saved).zip(input.data())
-        {
-            let s = sigmoid(x);
-            *saved_x = x;
-            *saved_s = s;
-            *o = x * s;
-        }
+        silu_forward(
+            input.data(),
+            self.saved_input.data_mut(),
+            self.saved_sigmoid.data_mut(),
+            out.data_mut(),
+        );
         self.ready = true;
     }
 

@@ -12,10 +12,12 @@
 //!
 //! [`DepthwiseConv2d`] does not lower. Each of its filters sees one
 //! channel, so a column matrix would hold k² shifted copies of the input
-//! for k²-long dot products. It sweeps the taps over a zero-bordered copy
-//! of one `[h, w]` plane at a time instead, forward and backward, and sums
-//! every element in the order the lowering did; the tests pin it bit for
-//! bit against an im2col reference.
+//! for k²-long dot products. It copies the planes of one channel, all
+//! samples, into one zero-bordered stack instead, where every tap is one
+//! contiguous run over all of them, and sums the taps over that stack in
+//! chunks held in registers, forward and backward, in the order the
+//! lowering did; the tests pin it bit for bit against an im2col
+//! reference.
 //!
 //! Every loop here runs on the caller's thread: parallelism lives above
 //! the layer, at whole cells, audits and SISA shards.
@@ -286,16 +288,26 @@ impl Layer for Conv2d {
     }
 }
 
-/// Geometry of one depthwise plane and of its zero-bordered copy.
+/// Geometry of one depthwise channel's plane stack.
 ///
-/// The copy of the padded `[h + 2p, w + 2p]` plane is split into
+/// The `n` planes of one channel are copied, zero-bordered, into one
+/// buffer. Each padded `[h + 2p, w + 2p]` plane is split into
 /// `stride × stride` phases of `qh × qw` elements: phase `(qy, qx)` holds
-/// the padded rows `qy, qy + s, …` and columns `qx, qx + s, …`. Tap `t`
-/// of output `(oy, ox)` then lives at `offset[t] + oy·qw + ox` at every
-/// stride, so each tap sweeps contiguous memory. At stride 1 there is one
-/// phase, the plain padded plane.
+/// the padded rows `qy, qy + s, …` and columns `qx, qx + s, …`. The
+/// buffer is phase-major: phase by phase, the `n` planes' blocks of that
+/// phase lie end to end. At stride 1 there is one phase, the plain padded
+/// planes.
+///
+/// The sweeps lay outputs out the same way, `qw` to a row and `qh · qw`
+/// to a plane, so output `(j, oy, ox)` sits at `j·qh·qw + oy·qw + ox` and
+/// its tap `t` at `offset[t]` plus the same index, for every plane, row
+/// and stride. One tap is then one contiguous run over all `n` planes.
+/// The `qw - ow` columns and `qh - oh` rows past the outputs of each
+/// plane ride along: the forward drops what it computes there, and the
+/// output gradients hold 0.0 there.
 #[derive(Debug, Clone, Copy)]
 struct PlaneDims {
+    n: usize,
     h: usize,
     w: usize,
     oh: usize,
@@ -307,10 +319,11 @@ struct PlaneDims {
 }
 
 impl PlaneDims {
-    fn new(geom: ConvGeometry, h: usize, w: usize) -> Self {
+    fn new(geom: ConvGeometry, n: usize, h: usize, w: usize) -> Self {
         let (oh, ow) = geom.output_size(h, w).unwrap_or_else(|e| panic!("{e}"));
         let (s, p) = (geom.stride, geom.padding);
         Self {
+            n,
             h,
             w,
             oh,
@@ -322,81 +335,224 @@ impl PlaneDims {
         }
     }
 
-    /// Elements of the phase-split padded plane.
-    fn padded_len(self) -> usize {
-        self.stride * self.stride * self.qh * self.qw
+    /// Elements of one phase of one plane, and of one plane of outputs.
+    fn block(self) -> usize {
+        self.qh * self.qw
     }
 
-    /// Offset of padded row `r`, column `c` in the phase-split plane.
-    fn index(self, r: usize, c: usize) -> usize {
+    /// Elements of one phase of the stack: that phase of all `n` planes.
+    fn phase_len(self) -> usize {
+        self.n * self.block()
+    }
+
+    /// Elements of the phase-split stack of `n` padded planes.
+    fn padded_len(self) -> usize {
+        self.stride * self.stride * self.phase_len()
+    }
+
+    /// Length of one tap's sweep: through the last output of the last
+    /// plane.
+    fn sweep_len(self) -> usize {
+        if self.n == 0 {
+            return 0;
+        }
+        (self.n - 1) * self.block() + (self.oh - 1) * self.qw + self.ow
+    }
+
+    /// Offset of padded row `r`, column `c` of plane `j` in the stack.
+    fn index(self, j: usize, r: usize, c: usize) -> usize {
         let s = self.stride;
-        ((r % s) * s + c % s) * self.qh * self.qw + (r / s) * self.qw + c / s
+        let phase = (r % s) * s + c % s;
+        (phase * self.n + j) * self.block() + (r / s) * self.qw + c / s
     }
 
     /// Writes the offset of every tap `t = ky·kw + kx` into `offsets`.
     fn tap_offsets(self, geom: ConvGeometry, offsets: &mut Vec<usize>) {
         offsets.clear();
-        offsets.extend((0..geom.kh * geom.kw).map(|t| self.index(t / geom.kw, t % geom.kw)));
+        offsets.extend((0..geom.kh * geom.kw).map(|t| self.index(0, t / geom.kw, t % geom.kw)));
     }
 
-    /// The interior runs of input row `iy` in the phase-split plane: where
-    /// each run starts there and its first input column. A run takes
-    /// every `stride`-th column of the row from there on.
-    fn interior_runs(self, iy: usize) -> impl Iterator<Item = (usize, usize)> {
+    /// The interior runs of input row `iy` of plane `j` in the stack:
+    /// where each run starts there and its first input column. A run
+    /// takes every `stride`-th column of the row from there on.
+    fn interior_runs(self, j: usize, iy: usize) -> impl Iterator<Item = (usize, usize)> {
         let (s, p) = (self.stride, self.padding);
-        (0..s.min(self.w)).map(move |ix| (self.index(iy + p, ix + p), ix))
+        (0..s.min(self.w)).map(move |ix| (self.index(j, iy + p, ix + p), ix))
     }
 }
 
-/// Copies one `[h, w]` plane into the interior of the zero-bordered,
-/// phase-split `padded` buffer. The border is left as it is: zero.
-fn pad_plane(plane: &[f32], dims: PlaneDims, padded: &mut [f32]) {
-    for (iy, row) in plane.chunks_exact(dims.w).enumerate() {
-        for (at, ix) in dims.interior_runs(iy) {
-            if dims.stride == 1 {
-                padded[at..][..dims.w].copy_from_slice(row);
-            } else {
-                for (d, run) in padded[at..].iter_mut().zip(row[ix..].chunks(dims.stride)) {
-                    *d = run[0];
+/// Splits `buf` into the two runs starting at `a` and at `b != a`.
+fn two_runs(buf: &mut [f32], a: usize, b: usize) -> (&mut [f32], &mut [f32]) {
+    if a < b {
+        let (lo, hi) = buf.split_at_mut(b);
+        (&mut lo[a..], hi)
+    } else {
+        let (lo, hi) = buf.split_at_mut(a);
+        (hi, &mut lo[b..])
+    }
+}
+
+/// Copies input row `iy` of plane `j` into the interior of the stack.
+/// Strides 1 and 2, the ones the models run, read the row once, at
+/// stride 2 pair by pair into its two column phases; larger strides copy
+/// it run by run.
+fn pad_row(row: &[f32], dims: PlaneDims, j: usize, iy: usize, padded: &mut [f32]) {
+    let (r, p) = (iy + dims.padding, dims.padding);
+    match dims.stride {
+        1 => padded[dims.index(j, r, p)..][..dims.w].copy_from_slice(row),
+        2 => {
+            let (even, odd) = two_runs(padded, dims.index(j, r, p), dims.index(j, r, p + 1));
+            let (even, odd) = (&mut even[..dims.w.div_ceil(2)], &mut odd[..dims.w / 2]);
+            let mut pairs = row.chunks_exact(2);
+            for ((e, o), pair) in even.iter_mut().zip(odd).zip(&mut pairs) {
+                *e = pair[0];
+                *o = pair[1];
+            }
+            if let ([.., e], [last]) = (even, pairs.remainder()) {
+                *e = *last;
+            }
+        }
+        s => {
+            for (at, ix) in dims.interior_runs(j, iy) {
+                for (d, &v) in padded[at..].iter_mut().zip(row[ix..].iter().step_by(s)) {
+                    *d = v;
                 }
             }
         }
     }
 }
 
-/// The inverse of [`pad_plane`]: copies the interior of the phase-split
-/// `padded` buffer out to one `[h, w]` plane.
-fn unpad_plane(padded: &[f32], dims: PlaneDims, plane: &mut [f32]) {
-    for (iy, row) in plane.chunks_exact_mut(dims.w).enumerate() {
-        for (at, ix) in dims.interior_runs(iy) {
-            if dims.stride == 1 {
-                row.copy_from_slice(&padded[at..][..dims.w]);
-            } else {
-                for (run, &v) in row[ix..].chunks_mut(dims.stride).zip(&padded[at..]) {
-                    run[0] = v;
+/// The inverse of [`pad_row`]: copies input row `iy` of plane `j` out of
+/// the interior of the stack.
+fn unpad_row(padded: &[f32], dims: PlaneDims, j: usize, iy: usize, row: &mut [f32]) {
+    let (r, p) = (iy + dims.padding, dims.padding);
+    match dims.stride {
+        1 => row.copy_from_slice(&padded[dims.index(j, r, p)..][..dims.w]),
+        2 => {
+            let even = &padded[dims.index(j, r, p)..][..dims.w.div_ceil(2)];
+            let odd = &padded[dims.index(j, r, p + 1)..][..dims.w / 2];
+            let mut pairs = row.chunks_exact_mut(2);
+            for ((pair, &e), &o) in (&mut pairs).zip(even).zip(odd) {
+                pair[0] = e;
+                pair[1] = o;
+            }
+            if let ([last], [.., e]) = (pairs.into_remainder(), even) {
+                *last = *e;
+            }
+        }
+        s => {
+            for (at, ix) in dims.interior_runs(j, iy) {
+                for (d, &v) in row[ix..].iter_mut().step_by(s).zip(&padded[at..]) {
+                    *d = v;
                 }
             }
         }
     }
 }
 
-/// One plane's forward: every output starts at `bias` and adds `w[t]·x`
-/// for the taps `t = 0..k²` in order. A tap on the zero border adds
-/// `w[t]·0.0`, as the zero-filled im2col column did.
+/// Copies plane `ch` of every sample in the `[n, c, h, w]` batch `x` into
+/// the interior of the zero-bordered, phase-split `padded` stack. The
+/// border is left as it is: zero.
+fn pad_planes(x: &[f32], c: usize, ch: usize, dims: PlaneDims, padded: &mut [f32]) {
+    let hw = dims.h * dims.w;
+    for j in 0..dims.n {
+        let plane = &x[(j * c + ch) * hw..][..hw];
+        for (iy, row) in plane.chunks_exact(dims.w).enumerate() {
+            pad_row(row, dims, j, iy, padded);
+        }
+    }
+}
+
+/// The inverse of [`pad_planes`]: copies the interior of the phase-split
+/// `padded` stack out to plane `ch` of every sample in `x`.
+fn unpad_planes(padded: &[f32], dims: PlaneDims, c: usize, ch: usize, x: &mut [f32]) {
+    let hw = dims.h * dims.w;
+    for j in 0..dims.n {
+        let plane = &mut x[(j * c + ch) * hw..][..hw];
+        for (iy, row) in plane.chunks_exact_mut(dims.w).enumerate() {
+            unpad_row(padded, dims, j, iy, row);
+        }
+    }
+}
+
+/// Outputs one register-blocked chunk sums at a time: 64 independent
+/// sums (eight 8-wide vectors) keep enough adds of the k² taps in flight
+/// to hide their latency: at 16, some audit and training shapes ran
+/// slower than one pass per tap; at 64, every one ran faster.
+const LANES: usize = 64;
+
+/// `out[i] = init + w·src[at + i] + …` over the `(w, at)` of `taps`, in
+/// order. Each chunk of [`LANES`] outputs holds its sums in registers
+/// across all taps and is stored once.
+fn tap_sums(
+    out: &mut [f32],
+    init: f32,
+    src: &[f32],
+    taps: impl Iterator<Item = (f32, usize)> + Clone,
+) {
+    let mut chunks = out.chunks_exact_mut(LANES);
+    let mut start = 0;
+    for chunk in &mut chunks {
+        let mut acc = [init; LANES];
+        for (w, at) in taps.clone() {
+            for (a, &x) in acc.iter_mut().zip(&src[at + start..][..LANES]) {
+                *a += w * x;
+            }
+        }
+        chunk.copy_from_slice(&acc);
+        start += LANES;
+    }
+    let rest = chunks.into_remainder();
+    if rest.is_empty() {
+        return;
+    }
+    let len = rest.len();
+    rest.fill(init);
+    for (w, at) in taps {
+        for (a, &x) in rest.iter_mut().zip(&src[at + start..][..len]) {
+            *a += w * x;
+        }
+    }
+}
+
+/// One channel's forward over the stack of its `n` planes: every output
+/// starts at `bias` and adds `w[t]·x` for the taps `t = 0..k²` in order.
+/// A tap on the zero border adds `w[t]·0.0`, as the zero-filled im2col
+/// column did. `wide` receives the outputs in the stack's output layout.
 fn stencil_forward(
     padded: &[f32],
     dims: PlaneDims,
     offsets: &[usize],
     weight: &[f32],
     bias: f32,
-    out: &mut [f32],
+    wide: &mut [f32],
 ) {
-    out.fill(bias);
-    for (&wv, &off) in weight.iter().zip(offsets) {
-        for (oy, row) in out.chunks_exact_mut(dims.ow).enumerate() {
-            for (o, &x) in row.iter_mut().zip(&padded[off + oy * dims.qw..]) {
-                *o += wv * x;
-            }
+    let taps = weight.iter().copied().zip(offsets.iter().copied());
+    tap_sums(&mut wide[..dims.sweep_len()], bias, padded, taps);
+}
+
+/// Copies the outputs of one channel from the stack's output layout
+/// `wide` to plane `ch` of every sample in the `[n, c, oh, ow]` batch
+/// `out`.
+fn gather_outputs(wide: &[f32], dims: PlaneDims, c: usize, ch: usize, out: &mut [f32]) {
+    let ohw = dims.oh * dims.ow;
+    for (j, src) in wide.chunks(dims.block()).enumerate() {
+        let plane = &mut out[(j * c + ch) * ohw..][..ohw];
+        for (row, src) in plane.chunks_exact_mut(dims.ow).zip(src.chunks(dims.qw)) {
+            row.copy_from_slice(&src[..dims.ow]);
+        }
+    }
+}
+
+/// The inverse of [`gather_outputs`] for gradients: copies plane `ch` of
+/// every sample in the `[n, c, oh, ow]` batch `grad` to the stack's output
+/// layout `wide`, whose other positions keep their 0.0.
+fn scatter_grads(grad: &[f32], dims: PlaneDims, c: usize, ch: usize, wide: &mut [f32]) {
+    let ohw = dims.oh * dims.ow;
+    for (j, dst) in wide.chunks_mut(dims.block()).enumerate() {
+        let plane = &grad[(j * c + ch) * ohw..][..ohw];
+        for (row, dst) in plane.chunks_exact(dims.ow).zip(dst.chunks_mut(dims.qw)) {
+            dst[..dims.ow].copy_from_slice(row);
         }
     }
 }
@@ -404,16 +560,17 @@ fn stencil_forward(
 /// Weight-gradient chains one sweep holds in registers.
 const CHAIN_GROUP: usize = 9;
 
-/// Advances one channel's gradient chains over one plane of that channel:
-/// for every output position in `(oy, ox)` order, `chains[t] += x_t·g` for
-/// each tap `t` and `chains[k²] += g`. Each chain stays the one sequential
-/// sum over `(sample, oy, ox)` that the im2col lowering took as a row dot
-/// product; the chains merely run side by side, [`CHAIN_GROUP`] taps and
-/// the bias per sweep.
+/// Advances one channel's gradient chains over plane `j` of that
+/// channel's stack: for every output position in `(oy, ox)` order,
+/// `chains[t] += x_t·g` for each tap `t` and `chains[k²] += g`. Each chain
+/// stays the one sequential sum over `(sample, oy, ox)` that the im2col
+/// lowering took as a row dot product; the chains merely run side by
+/// side, [`CHAIN_GROUP`] taps and the bias per sweep.
 fn advance_param_chains(
     padded: &[f32],
     dims: PlaneDims,
     offsets: &[usize],
+    j: usize,
     grad: &[f32],
     chains: &mut [f32],
 ) {
@@ -426,7 +583,9 @@ fn advance_param_chains(
         // A short group pads with chains on offset 0 that are dropped.
         let (mut acc, mut offs) = ([0.0; CHAIN_GROUP], [0; CHAIN_GROUP]);
         acc[..taps.len()].copy_from_slice(taps);
-        offs[..offsets.len()].copy_from_slice(offsets);
+        for (o, &off) in offs.iter_mut().zip(offsets) {
+            *o = off + j * dims.block();
+        }
         let bias = if i == 0 { &mut bias[0] } else { &mut spare };
         sweep_chains(padded, dims, &offs, grad, &mut acc, bias);
         taps.copy_from_slice(&acc[..taps.len()]);
@@ -454,36 +613,44 @@ fn sweep_chains(
     }
 }
 
-/// One plane's input gradient. Each element of the padded gradient starts
-/// at 0.0 and adds `w[t]·g` tap by tap, in the order col2im scattered the
-/// im2col rows; taps that land on the border are dropped with it.
+/// One channel's input gradient over the stack of its `n` planes. Each
+/// element of the padded gradient starts at 0.0 and adds `w[t]·g` for the
+/// taps `t` of its phase, in order, which is the order col2im scattered
+/// the im2col rows; the border is dropped afterwards. `wide` holds the
+/// output gradients in the stack's output layout behind `margin` zeros,
+/// `margin` being the largest tap offset within a phase, so element `q`
+/// of the stack reads what tap `t` sent it at `margin + q - offset[t]`.
+/// Where no output sent it anything, that read is 0.0, past the outputs
+/// or in the margin, and with finite weights the ±0.0 it adds leaves the
+/// sum as it was: a sum that starts at +0.0 never becomes −0.0.
 fn stencil_input_grad(
-    grad: &[f32],
+    wide: &[f32],
+    margin: usize,
     dims: PlaneDims,
     offsets: &[usize],
     weight: &[f32],
     padded_grad: &mut [f32],
-    grad_input: &mut [f32],
 ) {
-    padded_grad.fill(0.0);
-    for (&wv, &off) in weight.iter().zip(offsets) {
-        for (oy, g_row) in grad.chunks_exact(dims.ow).enumerate() {
-            for (d, &g) in padded_grad[off + oy * dims.qw..].iter_mut().zip(g_row) {
-                *d += wv * g;
-            }
-        }
+    let phase_len = dims.phase_len().max(1);
+    for (phase, out) in padded_grad.chunks_exact_mut(phase_len).enumerate() {
+        let base = phase * phase_len;
+        let taps = weight.iter().copied().zip(offsets.iter().copied());
+        let taps = taps
+            .filter(move |&(_, off)| off / phase_len == phase)
+            .map(move |(w, off)| (w, margin + base - off));
+        tap_sums(out, 0.0, wide, taps);
     }
-    unpad_plane(padded_grad, dims, grad_input);
 }
 
 /// Depthwise 2-D convolution: one spatial filter per channel (MobileNetV2 /
 /// EfficientNet building block).
 ///
-/// It does not lower through im2col: each `[h, w]` plane is copied into a
-/// zero-bordered buffer and the k² taps are swept over it directly, in
-/// the forward pass and in both backward passes. Every output and
-/// gradient element is summed in the order the im2col lowering used, so
-/// the results are the same bit for bit.
+/// It does not lower through im2col: channel by channel, the `n` planes
+/// of that channel are copied into one zero-bordered stack, over which
+/// each of the k² taps is one contiguous run, in the forward pass and in
+/// both backward passes. Every output and gradient element is summed in
+/// the order the im2col lowering used, so the results are the same bit
+/// for bit.
 #[derive(Debug)]
 pub struct DepthwiseConv2d {
     /// Kernel matrix `[channels, kh * kw]`.
@@ -494,11 +661,14 @@ pub struct DepthwiseConv2d {
     /// Saved copy of the forward input, reused across calls.
     saved_input: Tensor,
     ready: bool,
-    /// Zero-bordered, phase-split copy of the plane being swept.
+    /// Zero-bordered, phase-split stack of the channel being swept.
     padded: Vec<f32>,
-    /// That plane's input gradient, in the same layout.
+    /// That stack's input gradient, in the same layout.
     padded_grad: Vec<f32>,
-    /// Where each tap lives in that layout, relative to its output.
+    /// One channel's outputs (forward) or output gradients (backward,
+    /// behind a zero margin) in the stack's output layout.
+    wide: Vec<f32>,
+    /// Where each tap lives in the stack, relative to its output.
     offsets: Vec<usize>,
     /// One channel's k² weight-gradient chains and its bias chain.
     chains: Vec<f32>,
@@ -538,22 +708,24 @@ impl DepthwiseConv2d {
             ready: false,
             padded: Vec::new(),
             padded_grad: Vec::new(),
+            wide: Vec::new(),
             offsets: Vec::new(),
             chains: Vec::new(),
         })
     }
 
     /// Checks `grad_output` against the last forward pass, sizes the
-    /// padded gradient plane and lays out the taps. Returns the saved
-    /// input's `n`, `c` and plane geometry.
-    fn start_backward(&mut self, grad_output: &Tensor) -> (usize, usize, PlaneDims) {
+    /// padded gradient stack, lays out the taps and zeroes the
+    /// output-layout buffer behind its margin. Returns the saved input's
+    /// `c`, the stack geometry and the margin.
+    fn start_backward(&mut self, grad_output: &Tensor) -> (usize, PlaneDims, usize) {
         if !self.ready {
             backward_before_forward("DepthwiseConv2d");
         }
         let &[n, c, h, w] = self.saved_input.shape() else {
             unreachable!("saved input is always [n, c, h, w]")
         };
-        let dims = PlaneDims::new(self.geom, h, w);
+        let dims = PlaneDims::new(self.geom, n, h, w);
         check_backward_shape(
             "DepthwiseConv2d",
             &[n, c, dims.oh, dims.ow],
@@ -561,7 +733,13 @@ impl DepthwiseConv2d {
         );
         self.padded_grad.resize(dims.padded_len(), 0.0);
         dims.tap_offsets(self.geom, &mut self.offsets);
-        (n, c, dims)
+        let phase_len = dims.phase_len().max(1);
+        let margin = self.offsets.iter().map(|&off| off % phase_len).max();
+        let margin = margin.unwrap_or(0);
+        // Every channel rewrites only the output positions.
+        self.wide.clear();
+        self.wide.resize(margin + dims.phase_len(), 0.0);
+        (c, dims, margin)
     }
 }
 
@@ -573,39 +751,39 @@ impl Layer for DepthwiseConv2d {
             "DepthwiseConv2d::forward configured for {} channels, got {c}",
             self.channels
         );
-        let dims = PlaneDims::new(self.geom, h, w);
+        let dims = PlaneDims::new(self.geom, n, h, w);
         resize_buffer(&mut self.saved_input, input.shape());
         self.saved_input.data_mut().copy_from_slice(input.data());
         self.ready = true;
         let k2 = self.geom.kh * self.geom.kw;
 
-        // The border is zeroed once here; every plane rewrites only the
+        // The border is zeroed once here; every channel rewrites only the
         // interior.
         self.padded.clear();
         self.padded.resize(dims.padded_len(), 0.0);
+        self.wide.resize(dims.phase_len(), 0.0);
         dims.tap_offsets(self.geom, &mut self.offsets);
         let weight = self.weight.value().data();
         let bias = self.bias.value().data();
         resize_buffer(out, &[n, c, dims.oh, dims.ow]);
-        let planes = input.data().chunks_exact(h * w);
-        let out_planes = out.data_mut().chunks_exact_mut(dims.oh * dims.ow);
-        for ((plane, out_plane), ch) in planes.zip(out_planes).zip((0..c).cycle()) {
-            pad_plane(plane, dims, &mut self.padded);
+        for ch in 0..c {
+            pad_planes(input.data(), c, ch, dims, &mut self.padded);
             stencil_forward(
                 &self.padded,
                 dims,
                 &self.offsets,
                 &weight[ch * k2..][..k2],
                 bias[ch],
-                out_plane,
+                &mut self.wide,
             );
+            gather_outputs(&self.wide, dims, c, ch, out.data_mut());
         }
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let (n, c, dims) = self.start_backward(grad_output);
+        let (c, dims, margin) = self.start_backward(grad_output);
         let k2 = self.geom.kh * self.geom.kw;
-        let (hw, ohw) = (dims.h * dims.w, dims.oh * dims.ow);
+        let ohw = dims.oh * dims.ow;
         // The weight- and bias-gradient sums start where `Iterator::sum`
         // starts, so they match the row dot products of the im2col
         // lowering bit for bit.
@@ -620,20 +798,21 @@ impl Layer for DepthwiseConv2d {
         for ch in 0..c {
             self.chains.fill(neutral);
             let w_ch = &self.weight.value().data()[ch * k2..][..k2];
-            for s in 0..n {
-                let plane = (s * c + ch) * hw;
-                let grad = &go[(s * c + ch) * ohw..][..ohw];
-                pad_plane(&x[plane..][..hw], dims, &mut self.padded);
-                advance_param_chains(&self.padded, dims, &self.offsets, grad, &mut self.chains);
-                stencil_input_grad(
-                    grad,
-                    dims,
-                    &self.offsets,
-                    w_ch,
-                    &mut self.padded_grad,
-                    &mut grad_input.data_mut()[plane..][..hw],
-                );
+            pad_planes(x, c, ch, dims, &mut self.padded);
+            for j in 0..dims.n {
+                let grad = &go[(j * c + ch) * ohw..][..ohw];
+                advance_param_chains(&self.padded, dims, &self.offsets, j, grad, &mut self.chains);
             }
+            scatter_grads(go, dims, c, ch, &mut self.wide[margin..]);
+            stencil_input_grad(
+                &self.wide,
+                margin,
+                dims,
+                &self.offsets,
+                w_ch,
+                &mut self.padded_grad,
+            );
+            unpad_planes(&self.padded_grad, dims, c, ch, grad_input.data_mut());
             let dw = &mut self.weight.grad_mut().data_mut()[ch * k2..][..k2];
             for (d, &sum) in dw.iter_mut().zip(&self.chains) {
                 *d += sum;
@@ -643,21 +822,21 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let (_, c, dims) = self.start_backward(grad_output);
+        let (c, dims, margin) = self.start_backward(grad_output);
         let k2 = self.geom.kh * self.geom.kw;
         resize_buffer(grad_input, self.saved_input.shape());
         let weight = self.weight.value().data();
-        let grads = grad_output.data().chunks_exact(dims.oh * dims.ow);
-        let planes = grad_input.data_mut().chunks_exact_mut(dims.h * dims.w);
-        for ((grad, plane), ch) in grads.zip(planes).zip((0..c).cycle()) {
+        for ch in 0..c {
+            scatter_grads(grad_output.data(), dims, c, ch, &mut self.wide[margin..]);
             stencil_input_grad(
-                grad,
+                &self.wide,
+                margin,
                 dims,
                 &self.offsets,
                 &weight[ch * k2..][..k2],
                 &mut self.padded_grad,
-                plane,
             );
+            unpad_planes(&self.padded_grad, dims, c, ch, grad_input.data_mut());
         }
     }
 
@@ -665,6 +844,7 @@ impl Layer for DepthwiseConv2d {
         self.saved_input.capacity()
             + self.padded.capacity()
             + self.padded_grad.capacity()
+            + self.wide.capacity()
             + self.offsets.capacity()
             + self.chains.capacity()
     }
@@ -673,6 +853,7 @@ impl Layer for DepthwiseConv2d {
         self.saved_input = Tensor::default();
         self.padded = Vec::new();
         self.padded_grad = Vec::new();
+        self.wide = Vec::new();
         self.offsets = Vec::new();
         self.chains = Vec::new();
         self.ready = false;
@@ -989,48 +1170,79 @@ mod tests {
         t.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Runs one layer of `kernel`, `stride` and `padding` over `x` and
+    /// checks forward, dx, dW and db against the im2col reference, bit for
+    /// bit. Returns false, checking nothing, if the geometry does not fit.
+    fn matches_im2col_reference(x: &Tensor, kernel: usize, stride: usize, padding: usize) -> bool {
+        let &[n, c, h, w] = x.shape() else {
+            panic!("rank-4 input")
+        };
+        let geom = ConvGeometry::new(kernel, kernel, stride, padding).unwrap();
+        let Ok((oh, ow)) = geom.output_size(h, w) else {
+            return false;
+        };
+        let case = format!("{:?} k{kernel} s{stride} p{padding}", x.shape());
+        let mut r = seeded();
+        let mut dw = DepthwiseConv2d::new(c, kernel, stride, padding, &mut r).unwrap();
+        rng::fill_uniform(dw.bias.value_mut(), -0.5, 0.5, &mut r);
+        // Non-zero gradients, so the `+=` onto them is checked.
+        dw.weight.grad_mut().data_mut().fill(0.25);
+        dw.bias.grad_mut().data_mut().fill(-0.125);
+        let g = Tensor::from_fn(&[n, c, oh, ow], |i| ((i * 17 % 13) as f32 - 6.0) * 0.1);
+
+        let want_y = im2col_depthwise_forward(&dw, x);
+        let (want_dx, want_dw, want_db) = im2col_depthwise_backward(&dw, x, &g);
+        let (mut y, mut dx, mut dx_only) =
+            (Tensor::default(), Tensor::default(), Tensor::default());
+        dw.forward_into(x, Mode::Train, &mut y);
+        dw.backward_into(&g, &mut dx);
+        dw.backward_input_into(&g, &mut dx_only);
+
+        assert_eq!(bits(&y), bits(&want_y), "{case}: forward");
+        assert_eq!(bits(&dx), bits(&want_dx), "{case}: dx");
+        assert_eq!(bits(dw.weight.grad()), bits(&want_dw), "{case}: dW");
+        assert_eq!(bits(dw.bias.grad()), bits(&want_db), "{case}: db");
+        assert_eq!(bits(&dx_only), bits(&want_dx), "{case}: input-only dx");
+        true
+    }
+
     #[test]
     fn depthwise_stencil_matches_im2col_reference_bit_for_bit() {
         // Odd batch, odd width; at height 4 the 5x5 kernel without padding
         // is rejected, the other 24 geometries run.
-        let (n, c, h, w) = (3, 2, 4, 7);
-        let x = Tensor::from_fn(&[n, c, h, w], |i| ((i * 29 % 23) as f32 - 11.0) * 0.1);
+        let x = Tensor::from_fn(&[3, 2, 4, 7], |i| ((i * 29 % 23) as f32 - 11.0) * 0.1);
         let mut tested = 0;
         for kernel in [1, 3, 5] {
             for stride in [1, 2, 3] {
                 for padding in [0, 1, 2] {
-                    let geom = ConvGeometry::new(kernel, kernel, stride, padding).unwrap();
-                    let Ok((oh, ow)) = geom.output_size(h, w) else {
-                        continue;
-                    };
-                    let case = format!("k{kernel} s{stride} p{padding}");
-                    let mut r = seeded();
-                    let mut dw = DepthwiseConv2d::new(c, kernel, stride, padding, &mut r).unwrap();
-                    rng::fill_uniform(dw.bias.value_mut(), -0.5, 0.5, &mut r);
-                    // Non-zero gradients, so the `+=` onto them is checked.
-                    dw.weight.grad_mut().data_mut().fill(0.25);
-                    dw.bias.grad_mut().data_mut().fill(-0.125);
-                    let g =
-                        Tensor::from_fn(&[n, c, oh, ow], |i| ((i * 17 % 13) as f32 - 6.0) * 0.1);
-
-                    let want_y = im2col_depthwise_forward(&dw, &x);
-                    let (want_dx, want_dw, want_db) = im2col_depthwise_backward(&dw, &x, &g);
-                    let (mut y, mut dx, mut dx_only) =
-                        (Tensor::default(), Tensor::default(), Tensor::default());
-                    dw.forward_into(&x, Mode::Train, &mut y);
-                    dw.backward_into(&g, &mut dx);
-                    dw.backward_input_into(&g, &mut dx_only);
-
-                    assert_eq!(bits(&y), bits(&want_y), "{case}: forward");
-                    assert_eq!(bits(&dx), bits(&want_dx), "{case}: dx");
-                    assert_eq!(bits(dw.weight.grad()), bits(&want_dw), "{case}: dW");
-                    assert_eq!(bits(dw.bias.grad()), bits(&want_db), "{case}: db");
-                    assert_eq!(bits(&dx_only), bits(&want_dx), "{case}: input-only dx");
-                    tested += 1;
+                    tested += usize::from(matches_im2col_reference(&x, kernel, stride, padding));
                 }
             }
         }
         assert_eq!(tested, 24);
+        // Even widths at the models' kernel and padding: several planes
+        // per channel stack, and at stride 2 two phases per row.
+        for shape in [[2, 3, 8, 8], [2, 2, 16, 16]] {
+            let x = Tensor::from_fn(&shape, |i| ((i * 31 % 19) as f32 - 9.0) * 0.1);
+            for stride in [1, 2] {
+                assert!(matches_im2col_reference(&x, 3, stride, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_accepts_an_empty_batch() {
+        for stride in [1, 2, 3] {
+            let mut dw = DepthwiseConv2d::new(2, 3, stride, 1, &mut seeded()).unwrap();
+            let y = dw.forward(&Tensor::zeros(&[0, 2, 8, 8]), Mode::Train);
+            let (oh, ow) = dw.geom.output_size(8, 8).unwrap();
+            assert_eq!(y.shape(), &[0, 2, oh, ow]);
+            let g = Tensor::zeros(y.shape());
+            assert_eq!(dw.backward(&g).shape(), &[0, 2, 8, 8]);
+            let mut dx = Tensor::default();
+            dw.backward_input_into(&g, &mut dx);
+            assert_eq!(dx.shape(), &[0, 2, 8, 8]);
+        }
     }
 
     #[test]

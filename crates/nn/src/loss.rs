@@ -1,6 +1,6 @@
 //! Loss functions.
 
-use reveil_tensor::Tensor;
+use reveil_tensor::{ops, Tensor};
 
 use crate::NnError;
 
@@ -73,22 +73,8 @@ pub fn softmax_cross_entropy_into(
             message: format!("label {bad} out of range for {k} classes"),
         });
     }
-    // Row-wise softmax straight into the gradient buffer (same max-shifted
-    // arithmetic as `ops::softmax_rows`, without its fresh output tensor).
-    grad.resize_for_overwrite(logits.shape());
-    grad.data_mut().copy_from_slice(logits.data());
-    for row in grad.data_mut().chunks_mut(k) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
+    // Row-wise softmax straight into the gradient buffer.
+    ops::softmax_rows_into(logits, grad)?;
     let mut loss = 0.0f32;
     let inv_n = 1.0 / n as f32;
     for (i, &label) in labels.iter().enumerate() {

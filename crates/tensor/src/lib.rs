@@ -13,6 +13,8 @@
 //!   reuse,
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]), including
 //!   whole-mini-batch variants that feed one large matmul per layer call,
+//! * a bit-exact, vectorizable `exp` and the sigmoid built on it
+//!   ([`math`]), so no result depends on the platform's libm,
 //! * an orthonormal 2-D DCT used by the FTrojan frequency-domain trigger
 //!   ([`dct`]),
 //! * deterministic, stream-splittable random number helpers including a
@@ -46,6 +48,7 @@ mod tensor;
 
 pub mod conv;
 pub mod dct;
+pub mod math;
 pub mod ops;
 pub mod parallel;
 pub mod rng;

@@ -29,6 +29,7 @@
 //! otherwise run a matmul followed by an `axpy` touch `C` only once.
 
 use crate::error::TensorError;
+use crate::math;
 use crate::tensor::Tensor;
 
 fn expect_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize), TensorError> {
@@ -77,9 +78,22 @@ enum BMajor {
     Col,
 }
 
+/// Copies the first `width` values of `src` into the `W`-wide slot `dst`.
+/// A full slot is one copy of compile-time length, which compiles to a
+/// few vector moves instead of a `memcpy` call.
+#[inline]
+fn copy_slot<const W: usize>(dst: &mut [f32], src: &[f32], width: usize) {
+    if width == W {
+        dst[..W].copy_from_slice(&src[..W]);
+    } else {
+        dst[..width].copy_from_slice(&src[..width]);
+    }
+}
+
 /// Packs `A[i0..i0+mb, p0..p0+kb]` into MR-row strips: strip `s` holds rows
 /// `i0 + s*MR ..`, stored p-major so the micro-kernel reads `MR` values per
-/// k-step from one contiguous slot. Rows beyond `mb` pad with zeros.
+/// k-step from one contiguous slot. A short last strip is zeroed first, so
+/// its rows beyond `mb` pad with zeros; full strips are only written.
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     a: &[f32],
@@ -94,10 +108,11 @@ fn pack_a(
 ) {
     let strips = mb.div_ceil(MR);
     debug_assert!(apack.len() >= strips * kb * MR);
-    apack[..strips * kb * MR].fill(0.0);
-    for s in 0..strips {
+    for (s, strip) in apack.chunks_exact_mut(kb * MR).take(strips).enumerate() {
         let rows = MR.min(mb - s * MR);
-        let strip = &mut apack[s * kb * MR..(s + 1) * kb * MR];
+        if rows < MR {
+            strip.fill(0.0);
+        }
         match major {
             AMajor::Row => {
                 for r in 0..rows {
@@ -108,9 +123,8 @@ fn pack_a(
                 }
             }
             AMajor::Col => {
-                for (p, dst) in strip.chunks_exact_mut(MR).enumerate() {
-                    let src = &a[(p0 + p) * m + i0 + s * MR..][..rows];
-                    dst[..rows].copy_from_slice(src);
+                for (p, slot) in strip.chunks_exact_mut(MR).enumerate() {
+                    copy_slot::<MR>(slot, &a[(p0 + p) * m + i0 + s * MR..], rows);
                 }
             }
         }
@@ -120,7 +134,8 @@ fn pack_a(
 /// Packs `B[p0..p0+kb, j0..j0+nb]` into NR-column strips stored
 /// back-to-back: strip `t` holds columns `j0 + t*NR ..`, stored p-major so
 /// the micro-kernel reads `NR` values per k-step from one contiguous slot.
-/// Columns beyond `nb` pad with zeros.
+/// A short last strip is zeroed first, so its columns beyond `nb` pad with
+/// zeros; full strips are only written.
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     b: &[f32],
@@ -135,14 +150,15 @@ fn pack_b(
 ) {
     let strips = nb.div_ceil(NR);
     debug_assert!(bpack.len() >= strips * kb * NR);
-    bpack[..strips * kb * NR].fill(0.0);
     for (t, strip) in bpack.chunks_exact_mut(kb * NR).take(strips).enumerate() {
         let cols = NR.min(nb - t * NR);
+        if cols < NR {
+            strip.fill(0.0);
+        }
         match major {
             BMajor::Row => {
-                for (p, dst) in strip.chunks_exact_mut(NR).enumerate() {
-                    let src = &b[(p0 + p) * n + j0 + t * NR..][..cols];
-                    dst[..cols].copy_from_slice(src);
+                for (p, slot) in strip.chunks_exact_mut(NR).enumerate() {
+                    copy_slot::<NR>(slot, &b[(p0 + p) * n + j0 + t * NR..], cols);
                 }
             }
             BMajor::Col => {
@@ -716,7 +732,7 @@ pub fn softmax_rows_into(logits: &Tensor, out: &mut Tensor) -> Result<(), Tensor
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
+            *v = math::exp(*v - max);
             sum += *v;
         }
         let inv = 1.0 / sum;
@@ -942,6 +958,96 @@ mod tests {
                 let naive = naive_matmul(&a, &bt, m, k, n, |i, p| i * k + p, |p, j| j * k + p);
                 assert_close(&out, &with_beta(naive), 1e-4 * k as f32);
             }
+        }
+    }
+
+    /// `beta·C + A·B` summed the way the packed kernel sums it: `C` is
+    /// scaled (or zeroed at `beta == 0`), then each `KC` block of k adds
+    /// one partial sum that starts at 0.0 and accumulates `a·b` in k order.
+    fn blocked_reference(
+        a: &Tensor,
+        b: &Tensor,
+        c0: &Tensor,
+        beta: f32,
+        (m, k, n): (usize, usize, usize),
+        a_index: impl Fn(usize, usize) -> usize,
+        b_index: impl Fn(usize, usize) -> usize,
+    ) -> Tensor {
+        let mut out = Tensor::zeros(&[m, n]);
+        for i in 0..m {
+            for j in 0..n {
+                let mut c = if beta == 0.0 {
+                    0.0
+                } else if beta == 1.0 {
+                    c0.data()[i * n + j]
+                } else {
+                    c0.data()[i * n + j] * beta
+                };
+                for block in (0..k).step_by(KC) {
+                    let mut acc = 0.0f32;
+                    for p in block..(block + KC).min(k) {
+                        acc += a.data()[a_index(i, p)] * b.data()[b_index(p, j)];
+                    }
+                    c += acc;
+                }
+                out.data_mut()[i * n + j] = c;
+            }
+        }
+        out
+    }
+
+    /// The packed GEMM equals [`blocked_reference`] bit for bit in every
+    /// transpose flavour and epilogue, on non-integer data where a change
+    /// of summation order shows in the last bits.
+    #[test]
+    fn packed_gemm_keeps_its_summation_order_bit_for_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for &(m, k, n) in AWKWARD_SHAPES {
+            let dims = (m, k, n);
+            let a = Tensor::from_fn(&[m, k], |i| ((i * 37 % 11) as f32 - 5.0) * 0.173 + 0.011);
+            let at = Tensor::from_fn(&[k, m], |i| ((i * 29 % 13) as f32 - 6.0) * 0.219 - 0.007);
+            let b = Tensor::from_fn(&[k, n], |i| ((i * 53 % 7) as f32 - 3.0) * 0.311 + 0.005);
+            let bt = Tensor::from_fn(&[n, k], |i| ((i * 31 % 19) as f32 - 9.0) * 0.097 - 0.013);
+            let c0 = Tensor::from_fn(&[m, n], |i| ((i * 19 % 23) as f32 - 11.0) * 0.131);
+            let (row_a, col_a) = (|i, p| i * k + p, |i, p| p * m + i);
+            let (row_b, col_b) = (|p, j| p * n + j, |p, j| j * k + p);
+            for beta in [0.0f32, 1.0, 0.5] {
+                let case = format!("{m}x{k}x{n} beta {beta}");
+                let mut out = c0.clone();
+                matmul_acc_into(&a, &b, beta, &mut out).unwrap();
+                let want = blocked_reference(&a, &b, &c0, beta, dims, row_a, row_b);
+                assert_eq!(bits(&out), bits(&want), "NN {case}");
+
+                let mut out = c0.clone();
+                matmul_tn_acc_into(&at, &b, beta, &mut out).unwrap();
+                let want = blocked_reference(&at, &b, &c0, beta, dims, col_a, row_b);
+                assert_eq!(bits(&out), bits(&want), "TN {case}");
+
+                let mut out = c0.clone();
+                matmul_nt_acc_into(&a, &bt, beta, &mut out).unwrap();
+                let want = blocked_reference(&a, &bt, &c0, beta, dims, row_a, col_b);
+                assert_eq!(bits(&out), bits(&want), "NT {case}");
+            }
+            // The overwriting entry points are the beta = 0 epilogue.
+            let zero = Tensor::zeros(&[m, n]);
+            let want = blocked_reference(&a, &b, &zero, 0.0, dims, row_a, row_b);
+            assert_eq!(
+                bits(&matmul(&a, &b).unwrap()),
+                bits(&want),
+                "NN {m}x{k}x{n}"
+            );
+            let want = blocked_reference(&at, &b, &zero, 0.0, dims, col_a, row_b);
+            assert_eq!(
+                bits(&matmul_tn(&at, &b).unwrap()),
+                bits(&want),
+                "TN {m}x{k}x{n}"
+            );
+            let want = blocked_reference(&a, &bt, &zero, 0.0, dims, row_a, col_b);
+            assert_eq!(
+                bits(&matmul_nt(&a, &bt).unwrap()),
+                bits(&want),
+                "NT {m}x{k}x{n}"
+            );
         }
     }
 
