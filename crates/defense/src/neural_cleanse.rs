@@ -1,7 +1,7 @@
 //! Neural Cleanse: trigger reverse-engineering (Wang et al., S&P 2019).
 
 use reveil_nn::loss::softmax_cross_entropy_into;
-use reveil_nn::Network;
+use reveil_nn::{Backward, Network};
 use reveil_tensor::math::sigmoid;
 use reveil_tensor::{rng, Tensor};
 
@@ -268,7 +268,7 @@ fn reverse_engineer(
         let loss = softmax_cross_entropy_into(logits, labels, grad_logits)
             .map_err(|e| DefenseError::internal("Neural Cleanse", e))?;
         final_loss = loss;
-        network.backward_input_into(grad_logits, grad_input);
+        network.backward_into(grad_logits, Backward::InputOnly, grad_input);
 
         // Chain rule into mask and pattern space.
         grad_mask.clear();

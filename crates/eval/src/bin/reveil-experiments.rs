@@ -3,13 +3,19 @@
 //! `quick` or `full`; Quick when unset) and writes every table as a CSV,
 //! plus the Fig. 2 overlays, under `target/experiments`.
 //!
-//! All monolithic-cell artifacts share one `ScenarioCache`, so a cell
-//! swept by several figures (e.g. cr = 5, σ = 1e-3 appears in Table II,
-//! Fig. 3 and Figs. 6–8) trains exactly once for the whole suite; Fig. 5's
-//! restoration trios are cached the same way. Every figure fans the
-//! independent cells of its grid out across the `REVEIL_THREADS` worker
-//! team through the cache's parallel sweep executor — results are
-//! bit-identical to a serial run at any worker count.
+//! All monolithic-cell artifacts share one `ScenarioCache`, so a cell that
+//! several figures request trains once for the whole suite. Table II,
+//! Fig. 3 and Fig. 4 train seed replicates of their specs and share them:
+//! Table II's cr = 5 cells are Fig. 3's cr = 5 cells, and its BadNets ones
+//! Fig. 4's σ = 1e-3 cells. Fig. 2 and Figs. 6–8 train their specs at the
+//! base seed itself, which no replicate uses: Figs. 6–8 audit one grid of
+//! such cells, which shares only Fig. 2's cr = 1 cell, so the detector
+//! figures audit models that no ASR figure reports (open item 1 in
+//! `ROADMAP.md`). Fig. 5's restoration trios are cached the same way.
+//! Every figure fans the independent cells of its grid out across the
+//! `REVEIL_THREADS` worker team through the cache's parallel sweep
+//! executor — results are bit-identical to a serial run at any worker
+//! count.
 //!
 //! An unknown profile name or an output that cannot be written stops the
 //! run with an error and a non-zero exit status.

@@ -4,7 +4,7 @@
 //! poison data focuses its class-evidence attention on the trigger patch,
 //! while a model that also saw noisy poison samples (camouflage) disperses
 //! that attention. [`grad_cam`] reproduces the attribution;
-//! [`render`] writes heat maps as PPM/PGM images or ASCII art, and
+//! [`render`] writes heat maps as PPM overlays or ASCII art, and
 //! [`CamMap::region_mass`] quantifies "attention on the trigger" so the
 //! Fig. 2 comparison becomes a measurable number.
 //!
@@ -31,7 +31,7 @@ pub mod render;
 
 pub use error::ExplainError;
 
-use reveil_nn::{Mode, Network};
+use reveil_nn::{Backward, Mode, Network};
 use reveil_tensor::Tensor;
 
 /// A GradCAM attention map.
@@ -158,7 +158,7 @@ pub fn grad_cam(
     let mut grad_logits = Tensor::zeros(logits.shape());
     grad_logits.data_mut()[class] = 1.0;
     let mut grad_input = Tensor::default();
-    network.backward_input_into(&grad_logits, &mut grad_input);
+    network.backward_into(&grad_logits, Backward::InputOnly, &mut grad_input);
 
     // The backbone's boundary buffers still hold this pass: each interior
     // activation and, at the same index, the gradient of the class logit

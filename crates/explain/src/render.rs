@@ -1,4 +1,4 @@
-//! Heat-map rendering: ASCII art and PPM/PGM image writers.
+//! Heat-map rendering: ASCII art and a PPM overlay writer.
 
 use std::io::Write;
 use std::path::Path;
@@ -30,30 +30,6 @@ pub fn to_ascii(map: &Tensor) -> Result<String, ExplainError> {
         out.push('\n');
     }
     Ok(out)
-}
-
-/// Writes a rank-2 map as a binary PGM (grey-scale) image.
-///
-/// # Errors
-///
-/// Returns [`ExplainError::BadShape`] if `map` is not rank-2, and
-/// [`ExplainError::Io`] for any error creating or writing the file.
-pub fn write_pgm(map: &Tensor, path: impl AsRef<Path>) -> Result<(), ExplainError> {
-    let &[h, w] = map.shape() else {
-        return Err(ExplainError::BadShape {
-            expected: "an [h, w] map",
-            got: map.shape().to_vec(),
-        });
-    };
-    let mut file = std::fs::File::create(path)?;
-    write!(file, "P5\n{w} {h}\n255\n")?;
-    let bytes: Vec<u8> = map
-        .data()
-        .iter()
-        .map(|&v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-        .collect();
-    file.write_all(&bytes)?;
-    Ok(())
 }
 
 /// Maps `v ∈ [0, 1]` to an RGB heat colour (blue → cyan → yellow → red).
@@ -132,17 +108,6 @@ mod tests {
         let map = Tensor::from_vec(vec![1, 3], vec![0.0, 0.5, 1.0]).unwrap();
         let art = to_ascii(&map).unwrap();
         assert_eq!(art, " +@\n");
-    }
-
-    #[test]
-    fn pgm_roundtrip_header() {
-        let map = Tensor::from_fn(&[4, 6], |i| i as f32 / 23.0);
-        let path = std::env::temp_dir().join("reveil_test_cam.pgm");
-        write_pgm(&map, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"P5\n6 4\n255\n"));
-        assert_eq!(bytes.len(), 11 + 24);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -11,7 +11,7 @@ use reveil_tensor::math::sigmoid;
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
-use crate::{Layer, Mode, Param};
+use crate::{Backward, Layer, Mode, Param};
 
 /// Rectified linear unit, `y = max(x, 0)`.
 #[derive(Debug, Default, Clone)]
@@ -41,7 +41,7 @@ impl Layer for Relu {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Relu");
         }
@@ -97,7 +97,7 @@ impl Layer for Relu6 {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Relu6");
         }
@@ -171,7 +171,7 @@ impl Layer for Silu {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Silu");
         }
@@ -231,7 +231,7 @@ impl Layer for Sigmoid {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Sigmoid");
         }
@@ -354,12 +354,12 @@ mod tests {
             let mut out = Tensor::default();
             let mut grad = Tensor::default();
             layer.forward_into(&x, Mode::Train, &mut out);
-            layer.backward_into(&g, &mut grad);
+            layer.backward_into(&g, Backward::Full, &mut grad);
             let (first_out, first_grad) = (out.clone(), grad.clone());
             let warmed = layer.buffer_capacity();
             for _ in 0..3 {
                 layer.forward_into(&x, Mode::Train, &mut out);
-                layer.backward_into(&g, &mut grad);
+                layer.backward_into(&g, Backward::Full, &mut grad);
                 assert_eq!(out, first_out, "{} forward drifted", layer.name());
                 assert_eq!(grad, first_grad, "{} backward drifted", layer.name());
                 assert_eq!(

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Backward, Layer, Mode, NnError, Param};
 
 /// Batch normalisation over the channel axis of `[n, c, h, w]` inputs.
 ///
@@ -84,75 +84,6 @@ impl BatchNorm2d {
     /// Current running variance (one value per channel).
     pub fn running_var(&self) -> &Tensor {
         &self.running_var
-    }
-
-    /// Panics unless a forward pass of `grad_output`'s shape preceded.
-    fn check_grad_output(&self, grad_output: &Tensor) {
-        if !self.ready {
-            backward_before_forward("BatchNorm2d");
-        }
-        check_backward_shape("BatchNorm2d", &self.input_shape, grad_output.shape());
-    }
-
-    /// Sums `g·x̂` and `g` per channel into `dgamma` / `dbeta`: the γ and β
-    /// gradients, which the train-mode input gradient also reads. Each sum
-    /// runs over (image, position) in order.
-    fn channel_sums(&mut self, grad_output: &Tensor) {
-        let (n, c) = (self.input_shape[0], self.input_shape[1]);
-        let plane = self.input_shape[2] * self.input_shape[3];
-        let (grad, x_hat) = (grad_output.data(), self.x_hat.data());
-        self.dgamma.clear();
-        self.dbeta.clear();
-        for ch in 0..c {
-            let (mut sum_gx, mut sum_g) = (0.0f32, 0.0f32);
-            for img in 0..n {
-                let base = (img * c + ch) * plane;
-                let planes = grad[base..base + plane].iter().zip(&x_hat[base..]);
-                for (&g, &xh) in planes {
-                    sum_gx += g * xh;
-                    sum_g += g;
-                }
-            }
-            self.dgamma.push(sum_gx);
-            self.dbeta.push(sum_g);
-        }
-    }
-
-    /// The input gradient both backward methods write. In train mode it
-    /// reads the per-channel sums of [`BatchNorm2d::channel_sums`].
-    fn input_grad_into(&self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let (n, c) = (self.input_shape[0], self.input_shape[1]);
-        let plane = self.input_shape[2] * self.input_shape[3];
-        let m = (n * plane) as f32;
-        resize_buffer(grad_input, grad_output.shape());
-        let gamma = self.gamma.value().data();
-        let planes = grad_input
-            .data_mut()
-            .chunks_exact_mut(plane)
-            .zip(grad_output.data().chunks_exact(plane))
-            .zip((0..c).cycle());
-        match self.mode {
-            Mode::Train => {
-                // dx = (γ·inv_std / m) · (m·g − Σg − x̂·Σ(g·x̂)) per channel.
-                let x_hat = self.x_hat.data().chunks_exact(plane);
-                for (((dx, grad), ch), xh) in planes.zip(x_hat) {
-                    let coeff = gamma[ch] * self.inv_std[ch] / m;
-                    let (sum_g, sum_gx) = (self.dbeta[ch], self.dgamma[ch]);
-                    for ((d, &g), &xh) in dx.iter_mut().zip(grad).zip(xh) {
-                        *d = coeff * (m * g - sum_g - xh * sum_gx);
-                    }
-                }
-            }
-            Mode::Eval => {
-                // Running statistics are constants: dx = g·γ·inv_std.
-                for ((dx, grad), ch) in planes {
-                    let coeff = gamma[ch] * self.inv_std[ch];
-                    for (d, &g) in dx.iter_mut().zip(grad) {
-                        *d = coeff * g;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -300,25 +231,75 @@ impl Layer for BatchNorm2d {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.check_grad_output(grad_output);
-        self.channel_sums(grad_output);
-        let gamma_grad = self.gamma.grad_mut().data_mut();
-        let beta_grad = self.beta.grad_mut().data_mut();
-        for ch in 0..self.channels {
-            gamma_grad[ch] += self.dgamma[ch];
-            beta_grad[ch] += self.dbeta[ch];
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("BatchNorm2d");
         }
-        self.input_grad_into(grad_output, grad_input);
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.check_grad_output(grad_output);
-        // Only the train-mode input gradient reads the per-channel sums.
-        if self.mode == Mode::Train {
-            self.channel_sums(grad_output);
+        check_backward_shape("BatchNorm2d", &self.input_shape, grad_output.shape());
+        let (n, c) = (self.input_shape[0], self.input_shape[1]);
+        let plane = self.input_shape[2] * self.input_shape[3];
+        // Σ(g·x̂) and Σg per channel, each over (image, position) in order:
+        // the γ and β gradients, which the train-mode input gradient also
+        // reads.
+        if grads.params() || self.mode == Mode::Train {
+            let (grad, x_hat) = (grad_output.data(), self.x_hat.data());
+            self.dgamma.clear();
+            self.dbeta.clear();
+            for ch in 0..c {
+                let (mut sum_gx, mut sum_g) = (0.0f32, 0.0f32);
+                for img in 0..n {
+                    let base = (img * c + ch) * plane;
+                    let planes = grad[base..base + plane].iter().zip(&x_hat[base..]);
+                    for (&g, &xh) in planes {
+                        sum_gx += g * xh;
+                        sum_g += g;
+                    }
+                }
+                self.dgamma.push(sum_gx);
+                self.dbeta.push(sum_g);
+            }
         }
-        self.input_grad_into(grad_output, grad_input);
+        if grads.params() {
+            let gamma_grad = self.gamma.grad_mut().data_mut();
+            let beta_grad = self.beta.grad_mut().data_mut();
+            for ch in 0..self.channels {
+                gamma_grad[ch] += self.dgamma[ch];
+                beta_grad[ch] += self.dbeta[ch];
+            }
+        }
+        if !grads.input() {
+            return;
+        }
+        let m = (n * plane) as f32;
+        resize_buffer(grad_input, grad_output.shape());
+        let gamma = self.gamma.value().data();
+        let planes = grad_input
+            .data_mut()
+            .chunks_exact_mut(plane)
+            .zip(grad_output.data().chunks_exact(plane))
+            .zip((0..c).cycle());
+        match self.mode {
+            Mode::Train => {
+                // dx = (γ·inv_std / m) · (m·g − Σg − x̂·Σ(g·x̂)) per channel.
+                let x_hat = self.x_hat.data().chunks_exact(plane);
+                for (((dx, grad), ch), xh) in planes.zip(x_hat) {
+                    let coeff = gamma[ch] * self.inv_std[ch] / m;
+                    let (sum_g, sum_gx) = (self.dbeta[ch], self.dgamma[ch]);
+                    for ((d, &g), &xh) in dx.iter_mut().zip(grad).zip(xh) {
+                        *d = coeff * (m * g - sum_g - xh * sum_gx);
+                    }
+                }
+            }
+            Mode::Eval => {
+                // Running statistics are constants: dx = g·γ·inv_std.
+                for ((dx, grad), ch) in planes {
+                    let coeff = gamma[ch] * self.inv_std[ch];
+                    for (d, &g) in dx.iter_mut().zip(grad) {
+                        *d = coeff * g;
+                    }
+                }
+            }
+        }
     }
 
     fn buffer_capacity(&self) -> usize {

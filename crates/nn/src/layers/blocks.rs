@@ -6,22 +6,23 @@
 //! their weight gradients through the fused GEMM epilogue
 //! (`reveil_tensor::ops::matmul_*_acc_into`), so a block's backward pass
 //! writes each parameter gradient exactly once instead of
-//! matmul-then-`axpy`. Each block runs one backward chain for both
-//! backward methods, so `backward_input_into` reaches every child's
-//! input-only path. Every block-level intermediate (branch outputs, ReLU
-//! masks, gate activations and their gradients) lives in a reusable
-//! per-block buffer, so block forward/backward passes allocate nothing
-//! once warmed up.
+//! matmul-then-`axpy`. Each block runs its children with the [`Backward`]
+//! it was asked for, turned by `with_input` into one that writes the input
+//! gradient (every child's input gradient feeds the block's own), so an
+//! input-only backward reaches every child's input-only path. Every
+//! block-level intermediate (branch outputs, ReLU masks, gate activations
+//! and their gradients) lives in a reusable per-block buffer, so block
+//! forward/backward passes allocate nothing once warmed up.
 
 use rand::rngs::StdRng;
 
 use reveil_tensor::Tensor;
 
 use crate::layers::{
-    backward_before_forward, check_backward_shape, expect_nchw, resize_buffer, Backward,
-    BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool, Linear, Relu, Relu6, Sigmoid, Silu,
+    backward_before_forward, check_backward_shape, expect_nchw, resize_buffer, BatchNorm2d, Conv2d,
+    DepthwiseConv2d, GlobalAvgPool, Linear, Relu, Relu6, Sigmoid, Silu,
 };
-use crate::{Layer, Mode, NnError, Param, Sequential};
+use crate::{Backward, Layer, Mode, NnError, Param, Sequential};
 
 /// ResNet basic block: `y = relu(main(x) + shortcut(x))`.
 ///
@@ -116,12 +117,46 @@ impl Layer for ResidualBlock {
         self.ready = true;
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::Full, grad_output, grad_input);
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::InputOnly, grad_output, grad_input);
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        let grads = grads.with_input();
+        if !self.ready {
+            backward_before_forward("ResidualBlock");
+        }
+        check_backward_shape("ResidualBlock", self.relu_mask.shape(), grad_output.shape());
+        resize_buffer(&mut self.gated, grad_output.shape());
+        for ((d, &g), &m) in self
+            .gated
+            .data_mut()
+            .iter_mut()
+            .zip(grad_output.data())
+            .zip(self.relu_mask.data())
+        {
+            *d = g * m;
+        }
+        self.main
+            .backward_into(&self.gated, grads, &mut self.dx_main);
+        match &mut self.shortcut {
+            Some(s) => {
+                s.backward_into(&self.gated, grads, grad_input);
+                // f32 addition is commutative and exact either way, so
+                // accumulating the main-path gradient onto the shortcut's
+                // matches the old `dx_main + dx_shortcut` bit for bit.
+                for (o, &a) in grad_input.data_mut().iter_mut().zip(self.dx_main.data()) {
+                    *o += a;
+                }
+            }
+            None => {
+                resize_buffer(grad_input, self.dx_main.shape());
+                for ((o, &a), &g) in grad_input
+                    .data_mut()
+                    .iter_mut()
+                    .zip(self.dx_main.data())
+                    .zip(self.gated.data())
+                {
+                    *o = a + g;
+                }
+            }
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -163,50 +198,6 @@ impl Layer for ResidualBlock {
 
     fn name(&self) -> &'static str {
         "residual_block"
-    }
-}
-
-impl ResidualBlock {
-    /// Runs `backward` through the main path and the shortcut (both
-    /// backward methods share this chain).
-    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("ResidualBlock");
-        }
-        check_backward_shape("ResidualBlock", self.relu_mask.shape(), grad_output.shape());
-        resize_buffer(&mut self.gated, grad_output.shape());
-        for ((d, &g), &m) in self
-            .gated
-            .data_mut()
-            .iter_mut()
-            .zip(grad_output.data())
-            .zip(self.relu_mask.data())
-        {
-            *d = g * m;
-        }
-        backward.run(&mut self.main, &self.gated, &mut self.dx_main);
-        match &mut self.shortcut {
-            Some(s) => {
-                backward.run(s, &self.gated, grad_input);
-                // f32 addition is commutative and exact either way, so
-                // accumulating the main-path gradient onto the shortcut's
-                // matches the old `dx_main + dx_shortcut` bit for bit.
-                for (o, &a) in grad_input.data_mut().iter_mut().zip(self.dx_main.data()) {
-                    *o += a;
-                }
-            }
-            None => {
-                resize_buffer(grad_input, self.dx_main.shape());
-                for ((o, &a), &g) in grad_input
-                    .data_mut()
-                    .iter_mut()
-                    .zip(self.dx_main.data())
-                    .zip(self.gated.data())
-                {
-                    *o = a + g;
-                }
-            }
-        }
     }
 }
 
@@ -300,12 +291,52 @@ impl Layer for SqueezeExcite {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::Full, grad_output, grad_input);
-    }
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        let grads = grads.with_input();
+        if !self.ready {
+            backward_before_forward("SqueezeExcite");
+        }
+        check_backward_shape(
+            "SqueezeExcite",
+            self.saved_input.shape(),
+            grad_output.shape(),
+        );
+        let &[n, c, h, w] = self.saved_input.shape() else {
+            unreachable!("saved input is always [n, c, h, w]")
+        };
+        let plane = h * w;
 
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::InputOnly, grad_output, grad_input);
+        // Direct term: ∂(x ⊙ s)/∂x with s treated constant.
+        // Gate term: ds[n, c] = Σ_hw g ⊙ x.
+        resize_buffer(grad_input, self.saved_input.shape());
+        resize_buffer(&mut self.dscale, &[n, c]);
+        let gi = grad_input.data_mut();
+        let ds = self.dscale.data_mut();
+        let x = self.saved_input.data();
+        let g = grad_output.data();
+        let scale = self.scale.data();
+        for img in 0..n {
+            for ch in 0..c {
+                let s = scale[img * c + ch];
+                let base = (img * c + ch) * plane;
+                let mut acc = 0.0;
+                for i in base..base + plane {
+                    acc += g[i] * x[i];
+                    gi[i] = g[i] * s;
+                }
+                ds[img * c + ch] = acc;
+            }
+        }
+
+        // Chain through sigmoid → fc2 → silu → fc1 → gap back to the input.
+        self.sig.backward_into(&self.dscale, grads, &mut self.ga);
+        self.fc2.backward_into(&self.ga, grads, &mut self.gb);
+        self.act.backward_into(&self.gb, grads, &mut self.ga);
+        self.fc1.backward_into(&self.ga, grads, &mut self.gb);
+        self.gap.backward_into(&self.gb, grads, &mut self.ga);
+        for (o, &v) in grad_input.data_mut().iter_mut().zip(self.ga.data()) {
+            *o += v;
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -349,57 +380,6 @@ impl Layer for SqueezeExcite {
 
     fn name(&self) -> &'static str {
         "squeeze_excite"
-    }
-}
-
-impl SqueezeExcite {
-    /// Runs `backward` through the gate chain (both backward methods share
-    /// this chain).
-    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("SqueezeExcite");
-        }
-        check_backward_shape(
-            "SqueezeExcite",
-            self.saved_input.shape(),
-            grad_output.shape(),
-        );
-        let &[n, c, h, w] = self.saved_input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
-        };
-        let plane = h * w;
-
-        // Direct term: ∂(x ⊙ s)/∂x with s treated constant.
-        // Gate term: ds[n, c] = Σ_hw g ⊙ x.
-        resize_buffer(grad_input, self.saved_input.shape());
-        resize_buffer(&mut self.dscale, &[n, c]);
-        let gi = grad_input.data_mut();
-        let ds = self.dscale.data_mut();
-        let x = self.saved_input.data();
-        let g = grad_output.data();
-        let scale = self.scale.data();
-        for img in 0..n {
-            for ch in 0..c {
-                let s = scale[img * c + ch];
-                let base = (img * c + ch) * plane;
-                let mut acc = 0.0;
-                for i in base..base + plane {
-                    acc += g[i] * x[i];
-                    gi[i] = g[i] * s;
-                }
-                ds[img * c + ch] = acc;
-            }
-        }
-
-        // Chain through sigmoid → fc2 → silu → fc1 → gap back to the input.
-        backward.run(&mut self.sig, &self.dscale, &mut self.ga);
-        backward.run(&mut self.fc2, &self.ga, &mut self.gb);
-        backward.run(&mut self.act, &self.gb, &mut self.ga);
-        backward.run(&mut self.fc1, &self.ga, &mut self.gb);
-        backward.run(&mut self.gap, &self.gb, &mut self.ga);
-        for (o, &v) in grad_input.data_mut().iter_mut().zip(self.ga.data()) {
-            *o += v;
-        }
     }
 }
 
@@ -521,12 +501,15 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::Full, grad_output, grad_input);
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_with(Backward::InputOnly, grad_output, grad_input);
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        self.body
+            .backward_into(grad_output, grads.with_input(), grad_input);
+        if self.use_res {
+            debug_assert_eq!(grad_input.shape(), grad_output.shape());
+            for (o, &g) in grad_input.data_mut().iter_mut().zip(grad_output.data()) {
+                *o += g;
+            }
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -550,20 +533,6 @@ impl Layer for InvertedResidual {
         match self.kind {
             "mbconv" => "mbconv",
             _ => "inverted_residual",
-        }
-    }
-}
-
-impl InvertedResidual {
-    /// Runs `backward` through the body and adds the skip gradient (both
-    /// backward methods share this chain).
-    fn backward_with(&mut self, backward: Backward, grad_output: &Tensor, grad_input: &mut Tensor) {
-        backward.run(&mut self.body, grad_output, grad_input);
-        if self.use_res {
-            debug_assert_eq!(grad_input.shape(), grad_output.shape());
-            for (o, &g) in grad_input.data_mut().iter_mut().zip(grad_output.data()) {
-                *o += g;
-            }
         }
     }
 }
@@ -718,13 +687,13 @@ mod tests {
             let mut dx = Tensor::default();
             block.forward_into(&x, Mode::Eval, &mut out);
             let g = Tensor::from_fn(out.shape(), |i| ((i * 7 % 5) as f32 - 2.0) * 0.1);
-            block.backward_into(&g, &mut dx);
+            block.backward_into(&g, Backward::Full, &mut dx);
             let (first_out, first_dx) = (out.clone(), dx.clone());
             let warmed = block.buffer_capacity();
             assert!(warmed > 0, "{} must report its buffers", block.name());
             for _ in 0..3 {
                 block.forward_into(&x, Mode::Eval, &mut out);
-                block.backward_into(&g, &mut dx);
+                block.backward_into(&g, Backward::Full, &mut dx);
                 assert_eq!(out, first_out, "{} forward drifted", block.name());
                 assert_eq!(dx, first_dx, "{} backward drifted", block.name());
                 assert_eq!(

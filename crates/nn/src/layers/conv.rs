@@ -6,8 +6,8 @@
 //! per-layer `ConvScratch` that is reused across calls, so the forward
 //! and backward hot loops perform no per-sample heap allocation. The
 //! backward reads dW from the column matrix its forward left in the
-//! scratch, so the layer keeps no copy of its input; the input-only
-//! backward needs no column matrix at all, and the parameter-only backward
+//! scratch, so the layer keeps no copy of its input; an input-only
+//! backward needs no column matrix at all, and a parameter-only backward
 //! no column-space gradient.
 //!
 //! [`DepthwiseConv2d`] does not lower. Each of its filters sees one
@@ -28,7 +28,7 @@ use reveil_tensor::conv::{col2im_batch_into, im2col_batch_into, ConvGeometry};
 use reveil_tensor::{ops, rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Backward, Layer, Mode, NnError, Param};
 
 /// Reusable workspace for the batched convolution lowering.
 ///
@@ -143,79 +143,6 @@ impl Conv2d {
             .unwrap_or_else(|e| panic!("{e}"));
         (n, h, w, oh, ow)
     }
-
-    /// Checks `grad_output` against the last forward pass and gathers it
-    /// into the channel-major `[oc, n*oh*ow]` rows of `scratch.gemm` that
-    /// every backward method reads. Returns the last forward input's
-    /// `[n, c, h, w]`.
-    fn gather_grad_output(&mut self, grad_output: &Tensor) -> [usize; 4] {
-        let Some([n, c, h, w]) = self.input_dims else {
-            backward_before_forward("Conv2d")
-        };
-        let (oh, ow) = self
-            .geom
-            .output_size(h, w)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let oc = self.out_channels;
-        check_backward_shape("Conv2d", &[n, oc, oh, ow], grad_output.shape());
-        resize_buffer(&mut self.scratch.gemm, &[oc, n * oh * ow]);
-        gather_channel_major(
-            grad_output.data(),
-            n,
-            oc,
-            oh * ow,
-            self.scratch.gemm.data_mut(),
-        );
-        [n, c, h, w]
-    }
-
-    /// The parameter gradients `backward_into` and `backward_params_into`
-    /// accumulate, from the gathered rows and the forward's column matrix.
-    fn param_grads(&mut self) {
-        let oc = self.out_channels;
-        let n_ohw = self.scratch.gemm.shape()[1];
-
-        // dW += gy · colsᵀ: one matmul for the whole batch, accumulated
-        // straight into the parameter gradient by the fused GEMM epilogue
-        // (no per-call weight-gradient scratch, no separate axpy pass).
-        debug_assert_eq!(
-            self.weight.grad().shape(),
-            &[oc, self.in_channels * self.geom.kh * self.geom.kw]
-        );
-        ops::matmul_nt_acc_into(
-            &self.scratch.gemm,
-            &self.scratch.cols,
-            1.0,
-            self.weight.grad_mut(),
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-
-        // db += row sums of gy.
-        let gy = self.scratch.gemm.data();
-        let db = self.bias.grad_mut().data_mut();
-        for ch in 0..oc {
-            db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
-        }
-    }
-
-    /// The input gradient both input-gradient methods write, from the
-    /// gathered rows: `dcols = Wᵀ · gy`, scattered back to input space
-    /// batched.
-    fn input_grad_into(&mut self, [n, c, h, w]: [usize; 4], grad_input: &mut Tensor) {
-        let n_ohw = self.scratch.gemm.shape()[1];
-        resize_buffer(
-            &mut self.scratch.dcols,
-            &[c * self.geom.kh * self.geom.kw, n_ohw],
-        );
-        ops::matmul_tn_into(
-            self.weight.value(),
-            &self.scratch.gemm,
-            &mut self.scratch.dcols,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
 }
 
 impl Layer for Conv2d {
@@ -253,20 +180,60 @@ impl Layer for Conv2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let dims = self.gather_grad_output(grad_output);
-        self.param_grads();
-        self.input_grad_into(dims, grad_input);
-    }
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        let Some([n, c, h, w]) = self.input_dims else {
+            backward_before_forward("Conv2d")
+        };
+        let (oh, ow) = self
+            .geom
+            .output_size(h, w)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let oc = self.out_channels;
+        let n_ohw = n * oh * ow;
+        check_backward_shape("Conv2d", &[n, oc, oh, ow], grad_output.shape());
+        resize_buffer(&mut self.scratch.gemm, &[oc, n_ohw]);
+        gather_channel_major(
+            grad_output.data(),
+            n,
+            oc,
+            oh * ow,
+            self.scratch.gemm.data_mut(),
+        );
 
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let dims = self.gather_grad_output(grad_output);
-        self.input_grad_into(dims, grad_input);
-    }
-
-    fn backward_params_into(&mut self, grad_output: &Tensor, _scratch: &mut Tensor) {
-        self.gather_grad_output(grad_output);
-        self.param_grads();
+        if grads.params() {
+            // dW += gy · colsᵀ over the forward's column matrix: one
+            // matmul for the whole batch, accumulated straight into the
+            // parameter gradient by the fused GEMM epilogue (no per-call
+            // weight-gradient scratch, no separate axpy pass).
+            ops::matmul_nt_acc_into(
+                &self.scratch.gemm,
+                &self.scratch.cols,
+                1.0,
+                self.weight.grad_mut(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            // db += row sums of gy.
+            let gy = self.scratch.gemm.data();
+            let db = self.bias.grad_mut().data_mut();
+            for ch in 0..oc {
+                db[ch] += gy[ch * n_ohw..(ch + 1) * n_ohw].iter().sum::<f32>();
+            }
+        }
+        if grads.input() {
+            // dcols = Wᵀ · gy, scattered back to input space batched.
+            resize_buffer(
+                &mut self.scratch.dcols,
+                &[c * self.geom.kh * self.geom.kw, n_ohw],
+            );
+            ops::matmul_tn_into(
+                self.weight.value(),
+                &self.scratch.gemm,
+                &mut self.scratch.dcols,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            col2im_batch_into(&self.scratch.dcols, n, c, h, w, self.geom, grad_input)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -647,10 +614,10 @@ fn stencil_input_grad(
 ///
 /// It does not lower through im2col: channel by channel, the `n` planes
 /// of that channel are copied into one zero-bordered stack, over which
-/// each of the k² taps is one contiguous run, in the forward pass and in
-/// both backward passes. Every output and gradient element is summed in
-/// the order the im2col lowering used, so the results are the same bit
-/// for bit.
+/// each of the k² taps is one contiguous run, in the forward pass and for
+/// both gradients of the backward. Every output and gradient element is
+/// summed in the order the im2col lowering used, so the results are the
+/// same bit for bit.
 #[derive(Debug)]
 pub struct DepthwiseConv2d {
     /// Kernel matrix `[channels, kh * kw]`.
@@ -713,34 +680,6 @@ impl DepthwiseConv2d {
             chains: Vec::new(),
         })
     }
-
-    /// Checks `grad_output` against the last forward pass, sizes the
-    /// padded gradient stack, lays out the taps and zeroes the
-    /// output-layout buffer behind its margin. Returns the saved input's
-    /// `c`, the stack geometry and the margin.
-    fn start_backward(&mut self, grad_output: &Tensor) -> (usize, PlaneDims, usize) {
-        if !self.ready {
-            backward_before_forward("DepthwiseConv2d");
-        }
-        let &[n, c, h, w] = self.saved_input.shape() else {
-            unreachable!("saved input is always [n, c, h, w]")
-        };
-        let dims = PlaneDims::new(self.geom, n, h, w);
-        check_backward_shape(
-            "DepthwiseConv2d",
-            &[n, c, dims.oh, dims.ow],
-            grad_output.shape(),
-        );
-        self.padded_grad.resize(dims.padded_len(), 0.0);
-        dims.tap_offsets(self.geom, &mut self.offsets);
-        let phase_len = dims.phase_len().max(1);
-        let margin = self.offsets.iter().map(|&off| off % phase_len).max();
-        let margin = margin.unwrap_or(0);
-        // Every channel rewrites only the output positions.
-        self.wide.clear();
-        self.wide.resize(margin + dims.phase_len(), 0.0);
-        (c, dims, margin)
-    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -780,63 +719,77 @@ impl Layer for DepthwiseConv2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let (c, dims, margin) = self.start_backward(grad_output);
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("DepthwiseConv2d");
+        }
+        let &[n, c, h, w] = self.saved_input.shape() else {
+            unreachable!("saved input is always [n, c, h, w]")
+        };
+        let dims = PlaneDims::new(self.geom, n, h, w);
+        check_backward_shape(
+            "DepthwiseConv2d",
+            &[n, c, dims.oh, dims.ow],
+            grad_output.shape(),
+        );
         let k2 = self.geom.kh * self.geom.kw;
         let ohw = dims.oh * dims.ow;
+        dims.tap_offsets(self.geom, &mut self.offsets);
+        let phase_len = dims.phase_len().max(1);
+        let margin = self.offsets.iter().map(|&off| off % phase_len).max();
+        let margin = margin.unwrap_or(0);
         // The weight- and bias-gradient sums start where `Iterator::sum`
         // starts, so they match the row dot products of the im2col
         // lowering bit for bit.
         let neutral: f32 = std::iter::empty::<f32>().sum();
-        self.chains.resize(k2 + 1, neutral);
-        self.padded.clear();
-        self.padded.resize(dims.padded_len(), 0.0);
-        resize_buffer(grad_input, self.saved_input.shape());
+        if grads.params() {
+            self.chains.resize(k2 + 1, neutral);
+            self.padded.clear();
+            self.padded.resize(dims.padded_len(), 0.0);
+        }
+        if grads.input() {
+            self.padded_grad.resize(dims.padded_len(), 0.0);
+            // Every channel rewrites only the output positions.
+            self.wide.clear();
+            self.wide.resize(margin + dims.phase_len(), 0.0);
+            resize_buffer(grad_input, self.saved_input.shape());
+        }
         let (x, go) = (self.saved_input.data(), grad_output.data());
         // Channel-outer, so each channel's chains run over (sample, oy, ox)
         // in order.
         for ch in 0..c {
-            self.chains.fill(neutral);
-            let w_ch = &self.weight.value().data()[ch * k2..][..k2];
-            pad_planes(x, c, ch, dims, &mut self.padded);
-            for j in 0..dims.n {
-                let grad = &go[(j * c + ch) * ohw..][..ohw];
-                advance_param_chains(&self.padded, dims, &self.offsets, j, grad, &mut self.chains);
+            if grads.params() {
+                self.chains.fill(neutral);
+                pad_planes(x, c, ch, dims, &mut self.padded);
+                for j in 0..n {
+                    let grad = &go[(j * c + ch) * ohw..][..ohw];
+                    advance_param_chains(
+                        &self.padded,
+                        dims,
+                        &self.offsets,
+                        j,
+                        grad,
+                        &mut self.chains,
+                    );
+                }
+                let dw = &mut self.weight.grad_mut().data_mut()[ch * k2..][..k2];
+                for (d, &sum) in dw.iter_mut().zip(&self.chains) {
+                    *d += sum;
+                }
+                self.bias.grad_mut().data_mut()[ch] += self.chains[k2];
             }
-            scatter_grads(go, dims, c, ch, &mut self.wide[margin..]);
-            stencil_input_grad(
-                &self.wide,
-                margin,
-                dims,
-                &self.offsets,
-                w_ch,
-                &mut self.padded_grad,
-            );
-            unpad_planes(&self.padded_grad, dims, c, ch, grad_input.data_mut());
-            let dw = &mut self.weight.grad_mut().data_mut()[ch * k2..][..k2];
-            for (d, &sum) in dw.iter_mut().zip(&self.chains) {
-                *d += sum;
+            if grads.input() {
+                scatter_grads(go, dims, c, ch, &mut self.wide[margin..]);
+                stencil_input_grad(
+                    &self.wide,
+                    margin,
+                    dims,
+                    &self.offsets,
+                    &self.weight.value().data()[ch * k2..][..k2],
+                    &mut self.padded_grad,
+                );
+                unpad_planes(&self.padded_grad, dims, c, ch, grad_input.data_mut());
             }
-            self.bias.grad_mut().data_mut()[ch] += self.chains[k2];
-        }
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        let (c, dims, margin) = self.start_backward(grad_output);
-        let k2 = self.geom.kh * self.geom.kw;
-        resize_buffer(grad_input, self.saved_input.shape());
-        let weight = self.weight.value().data();
-        for ch in 0..c {
-            scatter_grads(grad_output.data(), dims, c, ch, &mut self.wide[margin..]);
-            stencil_input_grad(
-                &self.wide,
-                margin,
-                dims,
-                &self.offsets,
-                &weight[ch * k2..][..k2],
-                &mut self.padded_grad,
-            );
-            unpad_planes(&self.padded_grad, dims, c, ch, grad_input.data_mut());
         }
     }
 
@@ -1195,8 +1148,8 @@ mod tests {
         let (mut y, mut dx, mut dx_only) =
             (Tensor::default(), Tensor::default(), Tensor::default());
         dw.forward_into(x, Mode::Train, &mut y);
-        dw.backward_into(&g, &mut dx);
-        dw.backward_input_into(&g, &mut dx_only);
+        dw.backward_into(&g, Backward::Full, &mut dx);
+        dw.backward_into(&g, Backward::InputOnly, &mut dx_only);
 
         assert_eq!(bits(&y), bits(&want_y), "{case}: forward");
         assert_eq!(bits(&dx), bits(&want_dx), "{case}: dx");
@@ -1240,7 +1193,7 @@ mod tests {
             let g = Tensor::zeros(y.shape());
             assert_eq!(dw.backward(&g).shape(), &[0, 2, 8, 8]);
             let mut dx = Tensor::default();
-            dw.backward_input_into(&g, &mut dx);
+            dw.backward_into(&g, Backward::InputOnly, &mut dx);
             assert_eq!(dx.shape(), &[0, 2, 8, 8]);
         }
     }

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
-use crate::{Layer, Mode, Param};
+use crate::{Backward, Layer, Mode, Param};
 
 /// Reshapes `[n, c, h, w]` (or any rank ≥ 2) to `[n, c*h*w]`.
 #[derive(Debug, Default, Clone)]
@@ -35,7 +35,7 @@ impl Layer for Flatten {
         out.data_mut().copy_from_slice(input.data());
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("Flatten");
         }

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use reveil_tensor::{ops, rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Backward, Layer, Mode, NnError, Param};
 
 /// Affine map `y = x·Wᵀ + b` over a batch `x: [n, in_features]`.
 #[derive(Debug)]
@@ -64,18 +64,6 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         self.weight.value()
     }
-
-    /// The input gradient both backward methods write: `dx = g·W`.
-    fn input_grad_into(&self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        if !self.ready {
-            backward_before_forward("Linear");
-        }
-        let n = self.saved_input.shape()[0];
-        check_backward_shape("Linear", &[n, self.out_features], grad_output.shape());
-        resize_buffer(grad_input, &[n, self.in_features]);
-        ops::matmul_into(grad_output, self.weight.value(), grad_input)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
 }
 
 impl Layer for Linear {
@@ -97,23 +85,31 @@ impl Layer for Linear {
         ops::add_row(out, self.bias.value()).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.input_grad_into(grad_output, grad_input);
-        // dW += gᵀ·x via the fused accumulate epilogue (no transient dW
-        // tensor, no separate axpy), db += column sums of g (accumulated
-        // straight into the bias gradient).
-        ops::matmul_tn_acc_into(grad_output, &self.saved_input, 1.0, self.weight.grad_mut())
-            .unwrap_or_else(|e| panic!("{e}"));
-        let db = self.bias.grad_mut().data_mut();
-        for row in grad_output.data().chunks(db.len()) {
-            for (o, &v) in db.iter_mut().zip(row) {
-                *o += v;
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        if !self.ready {
+            backward_before_forward("Linear");
+        }
+        let n = self.saved_input.shape()[0];
+        check_backward_shape("Linear", &[n, self.out_features], grad_output.shape());
+        if grads.input() {
+            // dx = g·W.
+            resize_buffer(grad_input, &[n, self.in_features]);
+            ops::matmul_into(grad_output, self.weight.value(), grad_input)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
+        if grads.params() {
+            // dW += gᵀ·x via the fused accumulate epilogue (no transient
+            // dW tensor, no separate axpy), db += column sums of g
+            // (accumulated straight into the bias gradient).
+            ops::matmul_tn_acc_into(grad_output, &self.saved_input, 1.0, self.weight.grad_mut())
+                .unwrap_or_else(|e| panic!("{e}"));
+            let db = self.bias.grad_mut().data_mut();
+            for row in grad_output.data().chunks(db.len()) {
+                for (o, &v) in db.iter_mut().zip(row) {
+                    *o += v;
+                }
             }
         }
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.input_grad_into(grad_output, grad_input);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -226,12 +222,12 @@ mod tests {
         let mut out = Tensor::default();
         let mut dx = Tensor::default();
         layer.forward_into(&x, Mode::Train, &mut out);
-        layer.backward_into(&g, &mut dx);
+        layer.backward_into(&g, Backward::Full, &mut dx);
         let (first_out, first_dx) = (out.clone(), dx.clone());
         let warmed = layer.buffer_capacity();
         for _ in 0..3 {
             layer.forward_into(&x, Mode::Train, &mut out);
-            layer.backward_into(&g, &mut dx);
+            layer.backward_into(&g, Backward::Full, &mut dx);
             assert_eq!(out, first_out);
             assert_eq!(dx, first_dx);
             assert_eq!(layer.buffer_capacity(), warmed);

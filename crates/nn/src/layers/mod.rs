@@ -1,16 +1,13 @@
 //! Differentiable layer implementations.
 //!
-//! Every layer implements the object-safe [`Layer`] trait:
-//! `forward` caches what `backward` needs, `backward` returns the gradient
-//! with respect to the layer input and accumulates parameter gradients,
-//! `backward_input_into` returns the same input gradient without them, and
-//! `backward_params_into` accumulates the same parameter gradients without
-//! the input gradient. Each layer with parameters computes its input
-//! gradient in one private routine that both input-gradient methods call,
-//! so they agree bit for bit; [`Conv2d`] shares its parameter-gradient
-//! routine between `backward_into` and `backward_params_into` the same way.
-//! Gradient correctness of each layer is checked against finite differences
-//! in its unit tests.
+//! Every layer implements the object-safe [`Layer`](crate::Layer) trait:
+//! `forward` caches what `backward_into` needs, and `backward_into`
+//! returns the gradient with respect to the layer input and accumulates
+//! parameter gradients, skipping whichever of the two its
+//! [`Backward`](crate::Backward) argument excludes. Each layer runs one
+//! body for every `Backward`, so the gradients it computes agree bit for
+//! bit across them. Gradient correctness of each layer is checked against
+//! finite differences in its unit tests.
 
 mod activations;
 mod batchnorm;
@@ -29,32 +26,6 @@ pub use linear::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 
 use reveil_tensor::Tensor;
-
-use crate::Layer;
-
-/// Which of the three [`Layer`] backward methods a container runs through
-/// its children, so that all of them share one chain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Backward {
-    /// [`Layer::backward_into`]: input and parameter gradients.
-    Full,
-    /// [`Layer::backward_input_into`]: the input gradient only.
-    InputOnly,
-    /// [`Layer::backward_params_into`]: the parameter gradients only;
-    /// `grad_input` is scratch.
-    ParamsOnly,
-}
-
-impl Backward {
-    /// Runs this backward method of `layer`.
-    pub(crate) fn run(self, layer: &mut dyn Layer, grad_output: &Tensor, grad_input: &mut Tensor) {
-        match self {
-            Backward::Full => layer.backward_into(grad_output, grad_input),
-            Backward::InputOnly => layer.backward_input_into(grad_output, grad_input),
-            Backward::ParamsOnly => layer.backward_params_into(grad_output, grad_input),
-        }
-    }
-}
 
 /// Resizes a reusable buffer without pre-filling (every consumer overwrites
 /// its full active region), asserting in debug builds that a buffer with

@@ -3,7 +3,7 @@
 use reveil_tensor::Tensor;
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
-use crate::{Layer, Mode, NnError, Param};
+use crate::{Backward, Layer, Mode, NnError, Param};
 
 /// Max pooling over non-overlapping square windows.
 #[derive(Debug, Clone)]
@@ -82,7 +82,7 @@ impl Layer for MaxPool2d {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("MaxPool2d");
         }
@@ -151,7 +151,7 @@ impl Layer for GlobalAvgPool {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
+    fn backward_into(&mut self, grad_output: &Tensor, _grads: Backward, grad_input: &mut Tensor) {
         if !self.ready {
             backward_before_forward("GlobalAvgPool");
         }

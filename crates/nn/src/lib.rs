@@ -9,20 +9,19 @@
 //! the activation and gradient at every interior layer boundary of the last
 //! pass.
 //!
-//! Every layer has three backward methods, and each caller runs the one
-//! that computes only what it reads:
+//! Every layer has one backward method, [`Layer::backward_into`], and its
+//! [`Backward`] argument names the gradients the caller reads, so each
+//! caller computes only those:
 //!
-//! * [`Layer::backward_into`] returns the input gradient and accumulates
-//!   every parameter gradient. [`Network::backward_to_input_into`] runs
-//!   it, for callers that read both.
-//! * [`Layer::backward_input_into`] returns the same input gradient, bit
-//!   for bit, and touches no parameter gradient. Neural Cleanse and
-//!   GradCAM use it, through [`Network::backward_input_into`], because
-//!   they differentiate with respect to the input only.
-//! * [`Layer::backward_params_into`] accumulates the same parameter
-//!   gradients, bit for bit, and need not compute the input gradient.
-//!   Training uses it, through [`Network::backward_params_into`], because
-//!   an optimizer step reads no input gradient.
+//! * [`Backward::Full`] writes the input gradient and accumulates every
+//!   parameter gradient, for callers that read both.
+//! * [`Backward::InputOnly`] writes the same input gradient, bit for bit,
+//!   and touches no parameter gradient. Neural Cleanse and GradCAM pass
+//!   it to [`Network::backward_into`], because they differentiate with
+//!   respect to the input only.
+//! * [`Backward::ParamsOnly`] accumulates the same parameter gradients,
+//!   bit for bit, and need not compute the input gradient. Training
+//!   passes it, because an optimizer step reads no input gradient.
 //!
 //! Contents:
 //!
@@ -33,7 +32,7 @@
 //!   buffers;
 //! * [`loss`] — softmax cross-entropy with gradient;
 //! * [`optim`] — Adam (L2-coupled weight decay, as in the paper's PyTorch
-//!   recipe), SGD, and cosine-annealing LR schedule;
+//!   recipe), plain SGD, and cosine-annealing LR schedule;
 //! * [`models`] — the four scaled-down model families used by the paper
 //!   (ResNet, MobileNetV2, EfficientNet, WideResNet);
 //! * [`train`] — a mini-batch trainer and evaluation helpers.
@@ -90,26 +89,52 @@ pub enum Mode {
     Eval,
 }
 
+/// Which gradients a backward pass computes. Every variant writes a
+/// container's boundary gradients ([`Sequential::boundary_grads`])
+/// identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backward {
+    /// The input gradient and every parameter gradient.
+    Full,
+    /// The input gradient only, bit for bit as [`Backward::Full`] writes
+    /// it; no parameter gradient is touched (input-space optimisation and
+    /// attribution: Neural Cleanse, GradCAM).
+    InputOnly,
+    /// The parameter gradients only, bit for bit as [`Backward::Full`]
+    /// accumulates them (the training step). `grad_input` may be written
+    /// or left untouched; its contents afterwards mean nothing.
+    ParamsOnly,
+}
+
+impl Backward {
+    /// Whether this pass writes the input gradient.
+    pub(crate) fn input(self) -> bool {
+        self != Backward::ParamsOnly
+    }
+
+    /// Whether this pass accumulates the parameter gradients.
+    pub(crate) fn params(self) -> bool {
+        self != Backward::InputOnly
+    }
+
+    /// This pass for a layer whose input gradient someone reads:
+    /// [`Backward::ParamsOnly`] becomes [`Backward::Full`].
+    pub(crate) fn with_input(self) -> Self {
+        match self {
+            Backward::ParamsOnly => Backward::Full,
+            grads => grads,
+        }
+    }
+}
+
 /// A differentiable network layer.
 ///
 /// Layers cache whatever they need during [`Layer::forward_into`] so that
-/// the next backward call can produce the gradient with respect to the
-/// layer input. There are three backward methods:
-///
-/// * [`Layer::backward_into`] writes the input gradient and accumulates
-///   the parameter gradients (a caller that reads both, such as
-///   [`Network::backward_to_input_into`]);
-/// * [`Layer::backward_input_into`] writes the same input gradient, bit
-///   for bit, and touches no parameter gradient (input-space optimisation
-///   and attribution: Neural Cleanse, GradCAM). Layers with parameters
-///   skip their weight-gradient work here;
-/// * [`Layer::backward_params_into`] accumulates the same parameter
-///   gradients, bit for bit, for a caller that reads no input gradient
-///   (the training step, through [`Network::backward_params_into`]).
-///   [`Conv2d`](layers::Conv2d) skips its input-gradient work here.
-///
-/// All three fill a container's boundary gradients
-/// ([`Sequential::boundary_grads`]) identically.
+/// the next [`Layer::backward_into`] can produce the gradient with respect
+/// to the layer input. Its [`Backward`] argument says which gradients to
+/// compute: layers with parameters skip the work the caller does not read
+/// ([`Conv2d`](layers::Conv2d), for instance, its input gradient under
+/// [`Backward::ParamsOnly`]); parameter-free layers ignore it.
 ///
 /// # Buffer-reuse contract
 ///
@@ -118,8 +143,8 @@ pub enum Mode {
 /// [`reveil_tensor::Tensor::resize_for_overwrite`], so its allocation is
 /// reused once warmed up) and keep whatever state the backward pass needs
 /// in reusable internal buffers instead of cloning tensors per call. After
-/// one warm-up pass at a given shape, a layer's `forward_into` and every
-/// backward method perform **no heap allocations** — the property that
+/// one warm-up pass at a given shape, a layer's `forward_into` and
+/// `backward_into` perform **no heap allocations** — the property that
 /// keeps the training loop and the defense audits allocation-free (see
 /// `TrainStep` in [`train`]). The output tensor must be distinct from the
 /// input (the `&`/`&mut` signature enforces this), and results are
@@ -148,8 +173,9 @@ pub trait Layer: Send {
     );
 
     /// Propagates `grad_output` (gradient w.r.t. the last forward output)
-    /// back to the layer input into `grad_input` (reusing its allocation),
-    /// accumulating parameter gradients.
+    /// back to the layer input into `grad_input` (reusing its allocation)
+    /// and accumulates the parameter gradients, computing only what
+    /// `grads` asks for.
     ///
     /// # Panics
     ///
@@ -158,50 +184,9 @@ pub trait Layer: Send {
     fn backward_into(
         &mut self,
         grad_output: &reveil_tensor::Tensor,
+        grads: Backward,
         grad_input: &mut reveil_tensor::Tensor,
     );
-
-    /// Writes the same input gradient as [`Layer::backward_into`], bit for
-    /// bit, but touches no parameter gradient.
-    ///
-    /// The default delegates to [`Layer::backward_into`], which is exact
-    /// for layers without parameters. Layers with parameters override it
-    /// and skip their parameter-gradient work; containers route it to
-    /// their children's input-only path.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Layer::backward_into`].
-    fn backward_input_into(
-        &mut self,
-        grad_output: &reveil_tensor::Tensor,
-        grad_input: &mut reveil_tensor::Tensor,
-    ) {
-        self.backward_into(grad_output, grad_input);
-    }
-
-    /// Accumulates the same parameter gradients as [`Layer::backward_into`],
-    /// bit for bit, for a caller that reads no input gradient. `scratch`
-    /// may be written or left untouched; its contents afterwards mean
-    /// nothing.
-    ///
-    /// The default delegates to [`Layer::backward_into`]. [`Conv2d`]
-    /// overrides it and skips its input gradient; a [`Sequential`] runs
-    /// only its first layer this way, since every later layer's input
-    /// gradient feeds the layer before it.
-    ///
-    /// [`Conv2d`]: layers::Conv2d
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Layer::backward_into`].
-    fn backward_params_into(
-        &mut self,
-        grad_output: &reveil_tensor::Tensor,
-        scratch: &mut reveil_tensor::Tensor,
-    ) {
-        self.backward_into(grad_output, scratch);
-    }
 
     /// Allocating wrapper over [`Layer::forward_into`]: returns the output
     /// as a fresh tensor.
@@ -215,15 +200,16 @@ pub trait Layer: Send {
         out
     }
 
-    /// Allocating wrapper over [`Layer::backward_into`]: returns the input
-    /// gradient as a fresh tensor.
+    /// Allocating wrapper over a [`Backward::Full`]
+    /// [`Layer::backward_into`]: returns the input gradient as a fresh
+    /// tensor.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Layer::backward_into`].
     fn backward(&mut self, grad_output: &reveil_tensor::Tensor) -> reveil_tensor::Tensor {
         let mut grad_input = reveil_tensor::Tensor::default();
-        self.backward_into(grad_output, &mut grad_input);
+        self.backward_into(grad_output, Backward::Full, &mut grad_input);
         grad_input
     }
 

@@ -22,49 +22,6 @@ pub fn accuracy(predictions: &[usize], labels: &[usize]) -> f32 {
     correct as f32 / predictions.len() as f32
 }
 
-/// Confusion matrix `m[true][pred]` over `num_classes`.
-///
-/// # Panics
-///
-/// Panics on length mismatch or out-of-range entries.
-pub fn confusion_matrix(
-    predictions: &[usize],
-    labels: &[usize],
-    num_classes: usize,
-) -> Vec<Vec<usize>> {
-    assert_eq!(
-        predictions.len(),
-        labels.len(),
-        "predictions/labels length mismatch"
-    );
-    let mut m = vec![vec![0usize; num_classes]; num_classes];
-    for (&p, &l) in predictions.iter().zip(labels) {
-        assert!(
-            p < num_classes && l < num_classes,
-            "class index out of range"
-        );
-        m[l][p] += 1;
-    }
-    m
-}
-
-/// Per-class recall (diagonal over row sums); classes with no samples get
-/// `None`.
-pub fn per_class_recall(confusion: &[Vec<usize>]) -> Vec<Option<f32>> {
-    confusion
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let total: usize = row.iter().sum();
-            if total == 0 {
-                None
-            } else {
-                Some(row[i] as f32 / total as f32)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,20 +36,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn accuracy_length_mismatch_panics() {
         accuracy(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn confusion_and_recall() {
-        let preds = [0, 0, 1, 1, 1];
-        let labels = [0, 1, 1, 1, 0];
-        let m = confusion_matrix(&preds, &labels, 3);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[0][1], 1);
-        assert_eq!(m[1][0], 1);
-        assert_eq!(m[1][1], 2);
-        let recall = per_class_recall(&m);
-        assert_eq!(recall[0], Some(0.5));
-        assert_eq!(recall[1], Some(2.0 / 3.0));
-        assert_eq!(recall[2], None);
     }
 }

@@ -2,7 +2,7 @@
 
 use reveil_tensor::Tensor;
 
-use crate::{Layer, Mode, NnError, Param, Sequential};
+use crate::{Backward, Layer, Mode, NnError, Param, Sequential};
 
 /// A classifier split into a feature-extracting `backbone` (ending in global
 /// pooling, output `[n, d]`) and a classification `head` (output
@@ -13,11 +13,11 @@ use crate::{Layer, Mode, NnError, Param, Sequential};
 /// ([`Network::features_into`] + [`Network::backbone_boundary_outputs`]),
 /// GradCAM pairs them with their gradients
 /// ([`Network::backbone_boundary_grads`]), and Neural Cleanse needs input
-/// gradients only ([`Network::backward_input_into`], which leaves the
-/// parameter gradients untouched). Training reads only the parameter
-/// gradients and uses [`Network::backward_params_into`], which need not
-/// compute the input gradient. [`Network::backward_to_input_into`]
-/// computes both, for callers that read both.
+/// gradients only. [`Network::backward_into`] computes the gradients its
+/// [`Backward`] names: Neural Cleanse and GradCAM pass
+/// [`Backward::InputOnly`], which leaves the parameter gradients
+/// untouched, and training passes [`Backward::ParamsOnly`], which need not
+/// compute the input gradient.
 pub struct Network {
     backbone: Sequential,
     head: Sequential,
@@ -86,7 +86,7 @@ impl Network {
 
     /// Full forward pass into a caller-provided logits tensor, reusing its
     /// allocation and the network's internal feature buffer — together with
-    /// [`Network::backward_params_into`] this is the zero-allocation
+    /// [`Network::backward_into`] this is the zero-allocation
     /// training-step path (see the [`Layer`] buffer-reuse contract).
     pub fn forward_into(&mut self, input: &Tensor, mode: Mode, logits: &mut Tensor) {
         self.backbone
@@ -132,41 +132,31 @@ impl Network {
         grad_input
     }
 
-    /// Backward pass into a caller-provided input-gradient tensor, reusing
-    /// its allocation and the network's internal feature-gradient buffer
-    /// (the zero-allocation counterpart of [`Network::backward_to_input`]).
+    /// The [`Backward::Full`] [`Network::backward_into`]: the input
+    /// gradient into a caller-provided tensor, and every parameter
+    /// gradient (the zero-allocation counterpart of
+    /// [`Network::backward_to_input`]).
     pub fn backward_to_input_into(&mut self, grad_logits: &Tensor, grad_input: &mut Tensor) {
-        self.head
-            .backward_into(grad_logits, &mut self.grad_features_buf);
-        self.backbone
-            .backward_into(&self.grad_features_buf, grad_input);
+        self.backward_into(grad_logits, Backward::Full, grad_input);
     }
 
-    /// Parameter-only backward pass: accumulates the same parameter
-    /// gradients and writes the same backbone boundary gradients as
-    /// [`Network::backward_to_input_into`], bit for bit, but need not
-    /// compute the input gradient (see [`Layer::backward_params_into`]).
-    /// The head runs its full backward, the backbone its parameter-only
-    /// one. `scratch` may be written or left untouched; the training step
-    /// passes one buffer it keeps across steps and never reads.
-    pub fn backward_params_into(&mut self, grad_logits: &Tensor, scratch: &mut Tensor) {
+    /// Backward pass from a logits gradient that computes the gradients
+    /// `grads` names (see [`Backward`]), reusing `grad_input`'s allocation
+    /// and the network's feature-gradient buffer. Every [`Backward`]
+    /// writes the same backbone boundary gradients, bit for bit; the head
+    /// always computes its input gradient, which the backbone reads. Under
+    /// [`Backward::InputOnly`] callers need no [`Network::zero_grads`]
+    /// first.
+    pub fn backward_into(
+        &mut self,
+        grad_logits: &Tensor,
+        grads: Backward,
+        grad_input: &mut Tensor,
+    ) {
         self.head
-            .backward_into(grad_logits, &mut self.grad_features_buf);
+            .backward_into(grad_logits, grads.with_input(), &mut self.grad_features_buf);
         self.backbone
-            .backward_params_into(&self.grad_features_buf, scratch);
-    }
-
-    /// Input-gradient-only backward pass: writes the same input gradient
-    /// and boundary gradients as [`Network::backward_to_input_into`], bit
-    /// for bit, but touches no parameter gradient (see
-    /// [`Layer::backward_input_into`]). Callers that differentiate with
-    /// respect to the input only (Neural Cleanse, GradCAM) need no
-    /// [`Network::zero_grads`] first, and skip the weight-gradient work.
-    pub fn backward_input_into(&mut self, grad_logits: &Tensor, grad_input: &mut Tensor) {
-        self.head
-            .backward_input_into(grad_logits, &mut self.grad_features_buf);
-        self.backbone
-            .backward_input_into(&self.grad_features_buf, grad_input);
+            .backward_into(&self.grad_features_buf, grads, grad_input);
     }
 
     /// Total capacity in scalars of every reusable buffer in the network
@@ -211,13 +201,6 @@ impl Network {
     pub fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         self.backbone.visit_state(f);
         self.head.visit_state(f);
-    }
-
-    /// Total number of trainable scalars.
-    pub fn param_count(&mut self) -> usize {
-        let mut count = 0;
-        self.visit_params(&mut |p| count += p.len());
-        count
     }
 
     /// Serialises all persistent tensors into one flat vector — the
@@ -340,12 +323,5 @@ mod tests {
         let mut any_nonzero = false;
         net.visit_params(&mut |p| any_nonzero |= p.grad().data().iter().any(|&g| g != 0.0));
         assert!(any_nonzero);
-    }
-
-    #[test]
-    fn param_count_is_stable() {
-        let mut net = probe_net();
-        // 12*6 + 6 + 6*3 + 3
-        assert_eq!(net.param_count(), 99);
     }
 }

@@ -7,10 +7,10 @@
 //! moment updates (L2-coupled, not AdamW-decoupled).
 //!
 //! Both optimizers update every parameter with one fused in-place sweep
-//! over its `(value, grad, state)` slices — no per-step gradient clones,
-//! velocity clones or collected output vectors — so a warmed-up step
-//! allocates nothing (optimizer state is created once, on the first step
-//! that sees a parameter). The sweeps run on the caller's thread, like
+//! over its `(value, grad, state)` slices — no per-step gradient clones or
+//! collected output vectors — so a warmed-up step allocates nothing
+//! (Adam's state is created once, on the first step that sees a
+//! parameter). The sweeps run on the caller's thread, like
 //! every other kernel of the training step.
 
 use std::collections::BTreeMap;
@@ -32,85 +32,28 @@ pub trait Optimizer {
     fn lr(&self) -> f32;
 }
 
-/// Stochastic gradient descent with optional classical momentum.
+/// Plain stochastic gradient descent: `w += -lr·g`.
 #[derive(Debug)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: BTreeMap<u64, Tensor>,
 }
 
 impl Sgd {
     /// Creates plain SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: BTreeMap::new(),
-        }
-    }
-
-    /// Sets the momentum coefficient (builder style).
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets the L2 weight-decay coefficient (builder style).
-    #[must_use]
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    fn step_param(&mut self, p: &mut Param) {
-        let lr = self.lr;
-        let wd = self.weight_decay;
-        let momentum = self.momentum;
-        let id = p.id();
-        if momentum != 0.0 {
-            let vel = self
-                .velocity
-                .entry(id)
-                .or_insert_with(|| Tensor::zeros(p.grad().shape()));
-            let (value, grad) = p.value_and_grad_mut();
-            // One fused sweep: u = g + wd·w, v = momentum·v + u,
-            // w += -lr·v — the same per-element arithmetic as the old
-            // clone-the-gradient path, with no temporaries.
-            let elems = value.data_mut().iter_mut().zip(grad.data());
-            for ((w, &g), v) in elems.zip(vel.data_mut()) {
-                let u = if wd != 0.0 { g + wd * *w } else { g };
-                *v = momentum * *v + u;
-                *w += -lr * *v;
-            }
-        } else {
-            let (value, grad) = p.value_and_grad_mut();
-            for (w, &g) in value.data_mut().iter_mut().zip(grad.data()) {
-                let u = if wd != 0.0 { g + wd * *w } else { g };
-                *w += -lr * u;
-            }
-        }
+        Self { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, network: &mut Network) {
-        // `visit_params` borrows self mutably inside the closure, so collect
-        // updates through a raw loop over an id-indexed dispatch.
-        let mut this = std::mem::replace(
-            self,
-            Sgd {
-                lr: 0.0,
-                momentum: 0.0,
-                weight_decay: 0.0,
-                velocity: BTreeMap::new(),
-            },
-        );
-        network.visit_params(&mut |p| this.step_param(p));
-        *self = this;
+        let lr = self.lr;
+        network.visit_params(&mut |p| {
+            let (value, grad) = p.value_and_grad_mut();
+            for (w, &g) in value.data_mut().iter_mut().zip(grad.data()) {
+                *w += -lr * g;
+            }
+        });
     }
 
     fn set_lr(&mut self, lr: f32) {
@@ -277,7 +220,7 @@ mod tests {
         let x = Tensor::from_fn(&[4, 1, 2, 2], |i| (i % 3) as f32);
         let labels = [0, 1, 0, 1];
         let initial = loss_of(&mut net, &x, &labels);
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
+        let mut opt = Sgd::new(0.1);
         for _ in 0..20 {
             train_step(&mut net, &mut opt, &x, &labels);
         }
@@ -309,7 +252,7 @@ mod tests {
             net.visit_params(&mut |p| norm += p.value().sq_norm());
             norm
         };
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
+        let mut opt = Adam::new(0.1).with_weight_decay(0.5);
         for _ in 0..10 {
             opt.step(&mut net);
         }

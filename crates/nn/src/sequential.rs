@@ -2,8 +2,8 @@
 
 use reveil_tensor::Tensor;
 
-use crate::layers::{resize_buffer, Backward};
-use crate::{Layer, Mode, Param};
+use crate::layers::resize_buffer;
+use crate::{Backward, Layer, Mode, Param};
 
 /// A chain of layers applied in order.
 ///
@@ -21,12 +21,12 @@ use crate::{Layer, Mode, Param};
 /// each interior activation with its gradient (GradCAM), and Beatrix reads
 /// spatial activations from the forward side.
 ///
-/// All three backward methods run one chain and fill the gradient buffers
-/// identically. [`Layer::backward_into`] and [`Layer::backward_input_into`]
-/// run that method through every layer. [`Layer::backward_params_into`]
-/// runs only the first layer that way and every later one through
-/// [`Layer::backward_into`], because each later layer's input gradient is
-/// the gradient the layer before it reads.
+/// Every [`Backward`] runs one chain and fills the gradient buffers
+/// identically. The first layer runs the [`Backward`] the chain was asked
+/// for, and every later one the same with its input gradient
+/// ([`Backward::ParamsOnly`] becomes [`Backward::Full`]), because each
+/// later layer's input gradient is the gradient the layer before it
+/// reads.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
@@ -83,7 +83,7 @@ impl Sequential {
     }
 
     /// The pooled layer-boundary gradients of the last backward pass
-    /// (any backward method), indexed like
+    /// (any [`Backward`]), indexed like
     /// [`Sequential::boundary_outputs`]: `boundary_grads()[i]` is the
     /// gradient with respect to layer `i`'s output.
     pub fn boundary_grads(&self) -> &[Tensor] {
@@ -95,38 +95,6 @@ impl Sequential {
     fn ensure_bufs(bufs: &mut Vec<Tensor>, len: usize) {
         if bufs.len() < len {
             bufs.resize_with(len, Tensor::default);
-        }
-    }
-
-    /// Runs `backward` through the layers in reverse, ping-ponging the
-    /// gradients through the boundary buffers. A parameter-only backward
-    /// runs the full backward through every layer but the first.
-    fn backward_chain(
-        &mut self,
-        backward: Backward,
-        grad_output: &Tensor,
-        grad_input: &mut Tensor,
-    ) {
-        let n = self.layers.len();
-        if n == 0 {
-            resize_buffer(grad_input, grad_output.shape());
-            grad_input.data_mut().copy_from_slice(grad_output.data());
-            return;
-        }
-        Self::ensure_bufs(&mut self.bwd_bufs, n.saturating_sub(1));
-        for i in (0..n).rev() {
-            let (prev, rest) = self.bwd_bufs.split_at_mut(i);
-            let src: &Tensor = if i == n - 1 { grad_output } else { &rest[0] };
-            let dst: &mut Tensor = if i == 0 {
-                &mut *grad_input
-            } else {
-                &mut prev[i - 1]
-            };
-            let backward = match backward {
-                Backward::ParamsOnly if i > 0 => Backward::Full,
-                _ => backward,
-            };
-            backward.run(self.layers[i].as_mut(), src, dst);
         }
     }
 }
@@ -148,16 +116,26 @@ impl Layer for Sequential {
         }
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_chain(Backward::Full, grad_output, grad_input);
-    }
-
-    fn backward_input_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) {
-        self.backward_chain(Backward::InputOnly, grad_output, grad_input);
-    }
-
-    fn backward_params_into(&mut self, grad_output: &Tensor, scratch: &mut Tensor) {
-        self.backward_chain(Backward::ParamsOnly, grad_output, scratch);
+    fn backward_into(&mut self, grad_output: &Tensor, grads: Backward, grad_input: &mut Tensor) {
+        let n = self.layers.len();
+        if n == 0 {
+            resize_buffer(grad_input, grad_output.shape());
+            grad_input.data_mut().copy_from_slice(grad_output.data());
+            return;
+        }
+        Self::ensure_bufs(&mut self.bwd_bufs, n.saturating_sub(1));
+        for i in (0..n).rev() {
+            let (prev, rest) = self.bwd_bufs.split_at_mut(i);
+            let src: &Tensor = if i == n - 1 { grad_output } else { &rest[0] };
+            let dst: &mut Tensor = if i == 0 {
+                &mut *grad_input
+            } else {
+                &mut prev[i - 1]
+            };
+            // Every later layer's input gradient feeds the layer before it.
+            let grads = if i == 0 { grads } else { grads.with_input() };
+            self.layers[i].backward_into(src, grads, dst);
+        }
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -287,11 +265,11 @@ mod tests {
         let mut dx = Tensor::default();
         net.forward_into(&x, Mode::Train, &mut out);
         let g = Tensor::ones(out.shape());
-        net.backward_into(&g, &mut dx);
+        net.backward_into(&g, Backward::Full, &mut dx);
         let warmed = net.buffer_capacity();
         for _ in 0..3 {
             net.forward_into(&x, Mode::Train, &mut out);
-            net.backward_into(&g, &mut dx);
+            net.backward_into(&g, Backward::Full, &mut dx);
             assert_eq!(net.buffer_capacity(), warmed);
         }
     }

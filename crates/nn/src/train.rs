@@ -3,10 +3,10 @@
 //! The hot path is [`TrainStep`]: one forward → loss → backward →
 //! optimizer step through the pooled-buffer substrate
 //! ([`Network::forward_into`], [`crate::loss::softmax_cross_entropy_into`],
-//! [`Network::backward_params_into`] and the fused optimizer sweeps), so
-//! a warmed-up step performs **zero heap allocations**. The backward
-//! computes only the parameter gradients the optimizer reads, not the
-//! gradient with respect to the batch. [`Trainer`] drives
+//! [`Network::backward_into`] and the fused optimizer sweeps), so a
+//! warmed-up step performs **zero heap allocations**. The backward is a
+//! [`Backward::ParamsOnly`] one: it computes the parameter gradients the
+//! optimizer reads, not the gradient with respect to the batch. [`Trainer`] drives
 //! `TrainStep` over shuffled mini-batches with every per-epoch buffer
 //! (batch gather, labels, shuffle order) reused across iterations.
 
@@ -14,7 +14,7 @@ use reveil_tensor::{ops, rng, Tensor};
 
 use crate::loss::softmax_cross_entropy_into;
 use crate::optim::{Adam, CosineAnnealing, Optimizer};
-use crate::{Mode, Network, NnError};
+use crate::{Backward, Mode, Network, NnError};
 
 /// Learning-rate schedule selection for [`TrainConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,9 +107,9 @@ impl TrainConfig {
 /// batches, so after the first (warm-up) batch at a given shape a step
 /// allocates nothing — the per-layer buffers, the GEMM pack scratch and
 /// the optimizer state are likewise reused (see the [`crate::Layer`]
-/// buffer-reuse contract). The backward is
-/// [`Network::backward_params_into`], which skips the input gradient no
-/// step reads. Results are bit-identical to driving the allocating
+/// buffer-reuse contract). The backward is [`Network::backward_into`]
+/// with [`Backward::ParamsOnly`], which skips the input gradient no step
+/// reads. Results are bit-identical to driving the allocating
 /// wrappers ([`Network::forward`] / [`crate::loss::softmax_cross_entropy`]
 /// / [`Network::backward_to_input`]) by hand.
 ///
@@ -164,7 +164,7 @@ impl TrainStep {
         network.forward_into(batch, Mode::Train, &mut self.logits);
         let loss = softmax_cross_entropy_into(&self.logits, labels, &mut self.grad_logits)?;
         network.zero_grads();
-        network.backward_params_into(&self.grad_logits, &mut self.scratch);
+        network.backward_into(&self.grad_logits, Backward::ParamsOnly, &mut self.scratch);
         optimizer.step(network);
         Ok(loss)
     }

@@ -1,14 +1,15 @@
 //! The input-gradient-only and the parameter-only backward, pinned against
 //! the full backward.
 //!
-//! For every layer that overrides `Layer::backward_input_into` and for
-//! every model family, after an Eval and after a Train forward pass:
-//! * `backward_input_into` must give the input gradient (and, for
-//!   networks, the backbone boundary gradients) of `backward_into` bit for
-//!   bit, and must leave every parameter gradient exactly as it found it;
-//! * `backward_params_into` must leave every parameter gradient (and, for
-//!   networks, every backbone boundary gradient) exactly as `backward_into`
-//!   does, bit for bit, from the same starting gradients.
+//! For every layer that skips work under some `Backward` and for every
+//! model family, after an Eval and after a Train forward pass:
+//! * `Backward::InputOnly` must give the input gradient (and, for
+//!   networks, the backbone boundary gradients) of `Backward::Full` bit
+//!   for bit, and must leave every parameter gradient exactly as it found
+//!   it;
+//! * `Backward::ParamsOnly` must leave every parameter gradient (and, for
+//!   networks, every backbone boundary gradient) exactly as
+//!   `Backward::Full` does, bit for bit, from the same starting gradients.
 
 use rand::rngs::StdRng;
 
@@ -17,7 +18,7 @@ use reveil_nn::layers::{
     SqueezeExcite,
 };
 use reveil_nn::models::ModelFamily;
-use reveil_nn::{Layer, Mode, Network, Param, Sequential};
+use reveil_nn::{Backward, Layer, Mode, Network, Param, Sequential};
 use reveil_tensor::{rng, Tensor};
 
 /// Parameter-gradient fill the input-only path must leave in place.
@@ -76,8 +77,8 @@ fn forwarded_layers(
     (a, b, probe(y.shape(), 3))
 }
 
-/// Every layer that overrides `backward_input_into`, with an input shape.
-fn overriding_layers() -> Vec<(&'static str, Factory, Vec<usize>)> {
+/// Every layer with parameters and every container, with an input shape.
+fn layers_with_params() -> Vec<(&'static str, Factory, Vec<usize>)> {
     vec![
         (
             "conv2d",
@@ -151,17 +152,17 @@ fn overriding_layers() -> Vec<(&'static str, Factory, Vec<usize>)> {
 
 #[test]
 fn every_overriding_layer_matches_backward_into_and_leaves_param_grads() {
-    for (name, make, shape) in overriding_layers() {
+    for (name, make, shape) in layers_with_params() {
         for mode in [Mode::Eval, Mode::Train] {
             let (mut full, mut input_only, g) = forwarded_layers(make, &shape, mode);
 
             full.visit_params(&mut |p| p.zero_grad());
             let mut dx_full = Tensor::default();
-            full.backward_into(&g, &mut dx_full);
+            full.backward_into(&g, Backward::Full, &mut dx_full);
 
             input_only.visit_params(&mut fill_sentinel);
             let mut dx = Tensor::default();
-            input_only.backward_input_into(&g, &mut dx);
+            input_only.backward_into(&g, Backward::InputOnly, &mut dx);
 
             assert_eq!(dx.shape(), dx_full.shape(), "{name} {mode:?}");
             assert_eq!(
@@ -172,27 +173,24 @@ fn every_overriding_layer_matches_backward_into_and_leaves_param_grads() {
             let (untouched, _) = grad_summary(|f| input_only.visit_params(f));
             assert!(
                 untouched,
-                "{name} {mode:?}: backward_input_into wrote a parameter gradient"
+                "{name} {mode:?}: InputOnly wrote a parameter gradient"
             );
             let (_, accumulated) = grad_summary(|f| full.visit_params(f));
-            assert!(
-                accumulated,
-                "{name} {mode:?}: backward_into accumulated no gradient"
-            );
+            assert!(accumulated, "{name} {mode:?}: Full accumulated no gradient");
         }
     }
 }
 
 #[test]
 fn params_only_backward_matches_backward_into_for_every_overriding_layer() {
-    for (name, make, shape) in overriding_layers() {
+    for (name, make, shape) in layers_with_params() {
         for mode in [Mode::Eval, Mode::Train] {
             let (mut full, mut params_only, g) = forwarded_layers(make, &shape, mode);
             full.visit_params(&mut fill_sentinel);
             params_only.visit_params(&mut fill_sentinel);
 
-            full.backward_into(&g, &mut Tensor::default());
-            params_only.backward_params_into(&g, &mut Tensor::default());
+            full.backward_into(&g, Backward::Full, &mut Tensor::default());
+            params_only.backward_into(&g, Backward::ParamsOnly, &mut Tensor::default());
 
             assert_eq!(
                 grad_bits(|f| params_only.visit_params(f)),
@@ -242,11 +240,11 @@ fn every_model_family_matches_backward_to_input_and_leaves_param_grads() {
 
             full.zero_grads();
             let mut dx_full = Tensor::default();
-            full.backward_to_input_into(&g, &mut dx_full);
+            full.backward_into(&g, Backward::Full, &mut dx_full);
 
             input_only.visit_params(&mut fill_sentinel);
             let mut dx = Tensor::default();
-            input_only.backward_input_into(&g, &mut dx);
+            input_only.backward_into(&g, Backward::InputOnly, &mut dx);
 
             assert_eq!(dx.shape(), &[2, 3, 8, 8], "{label} {mode:?}");
             assert_eq!(
@@ -262,12 +260,12 @@ fn every_model_family_matches_backward_to_input_and_leaves_param_grads() {
             let (untouched, _) = grad_summary(|f| input_only.visit_params(f));
             assert!(
                 untouched,
-                "{label} {mode:?}: backward_input_into wrote a parameter gradient"
+                "{label} {mode:?}: InputOnly wrote a parameter gradient"
             );
             let (_, accumulated) = grad_summary(|f| full.visit_params(f));
             assert!(
                 accumulated,
-                "{label} {mode:?}: backward_to_input accumulated no gradient"
+                "{label} {mode:?}: Full accumulated no gradient"
             );
         }
     }
@@ -282,8 +280,8 @@ fn params_only_backward_matches_backward_to_input_for_every_model_family() {
             full.visit_params(&mut fill_sentinel);
             params_only.visit_params(&mut fill_sentinel);
 
-            full.backward_to_input_into(&g, &mut Tensor::default());
-            params_only.backward_params_into(&g, &mut Tensor::default());
+            full.backward_into(&g, Backward::Full, &mut Tensor::default());
+            params_only.backward_into(&g, Backward::ParamsOnly, &mut Tensor::default());
 
             assert_eq!(
                 grad_bits(|f| params_only.visit_params(f)),

@@ -20,7 +20,7 @@ use reveil_nn::loss::softmax_cross_entropy_into;
 use reveil_nn::models::ModelFamily;
 use reveil_nn::optim::Adam;
 use reveil_nn::train::TrainStep;
-use reveil_nn::Mode;
+use reveil_nn::{Backward, Mode};
 use reveil_tensor::{rng, Tensor};
 
 const BATCH: usize = 32;
@@ -66,7 +66,7 @@ fn digest(family: ModelFamily, classes: usize, seed: u64) -> u64 {
     net.forward_into(&batch, Mode::Eval, &mut logits);
     softmax_cross_entropy_into(&logits, &labels, &mut grad_logits)
         .expect("the logits match the labels");
-    net.backward_input_into(&grad_logits, &mut grad_input);
+    net.backward_into(&grad_logits, Backward::InputOnly, &mut grad_input);
     assert_eq!(grad_input.shape(), batch.shape());
 
     let hash = fnv1a(0xcbf2_9ce4_8422_2325, &net.state_vec());

@@ -43,6 +43,18 @@ fn expect_rank2(op: &'static str, t: &Tensor) -> Result<(usize, usize), TensorEr
     }
 }
 
+/// [`expect_rank2`] for the row-wise ops, which also need a column.
+fn expect_rows(op: &'static str, t: &Tensor) -> Result<(usize, usize), TensorError> {
+    let (m, n) = expect_rank2(op, t)?;
+    if n == 0 {
+        return Err(TensorError::InvalidArgument {
+            op,
+            message: format!("rows need at least one column, got shape {:?}", t.shape()),
+        });
+    }
+    Ok((m, n))
+}
+
 /// Rows per register tile: the micro-kernel keeps an `MR x NR` accumulator
 /// block live across the whole k-loop.
 const MR: usize = 8;
@@ -667,9 +679,10 @@ pub fn transpose(t: &Tensor) -> Result<Tensor, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] on rank or length mismatch.
+/// Returns [`TensorError::ShapeMismatch`] on rank or length mismatch, and
+/// [`TensorError::InvalidArgument`] if `matrix` has no columns.
 pub fn add_row(matrix: &mut Tensor, row: &Tensor) -> Result<(), TensorError> {
-    let (_, n) = expect_rank2("add_row", matrix)?;
+    let (_, n) = expect_rows("add_row", matrix)?;
     if row.shape() != [n] {
         return Err(TensorError::ShapeMismatch {
             op: "add_row",
@@ -691,9 +704,10 @@ pub fn add_row(matrix: &mut Tensor, row: &Tensor) -> Result<(), TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn sum_rows(matrix: &Tensor) -> Result<Tensor, TensorError> {
-    let (_, n) = expect_rank2("sum_rows", matrix)?;
+    let (_, n) = expect_rows("sum_rows", matrix)?;
     let mut out = Tensor::zeros(&[n]);
     let od = out.data_mut();
     for row in matrix.data().chunks(n) {
@@ -709,7 +723,8 @@ pub fn sum_rows(matrix: &Tensor) -> Result<Tensor, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `logits` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `logits` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, TensorError> {
     let mut out = Tensor::default();
     softmax_rows_into(logits, &mut out)?;
@@ -723,9 +738,10 @@ pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `logits` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `logits` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn softmax_rows_into(logits: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (_, n) = expect_rank2("softmax_rows", logits)?;
+    let (_, n) = expect_rows("softmax_rows", logits)?;
     out.resize_for_overwrite(logits.shape());
     out.data_mut().copy_from_slice(logits.data());
     for row in out.data_mut().chunks_mut(n) {
@@ -747,7 +763,8 @@ pub fn softmax_rows_into(logits: &Tensor, out: &mut Tensor) -> Result<(), Tensor
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn argmax_rows(matrix: &Tensor) -> Result<Vec<usize>, TensorError> {
     let mut out = Vec::new();
     argmax_rows_into(matrix, &mut out)?;
@@ -760,9 +777,10 @@ pub fn argmax_rows(matrix: &Tensor) -> Result<Vec<usize>, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn argmax_rows_into(matrix: &Tensor, out: &mut Vec<usize>) -> Result<(), TensorError> {
-    let (_, n) = expect_rank2("argmax_rows", matrix)?;
+    let (_, n) = expect_rows("argmax_rows", matrix)?;
     out.clear();
     out.extend(matrix.data().chunks(n).map(|row| {
         let mut best = 0;
@@ -783,7 +801,8 @@ pub fn argmax_rows_into(matrix: &Tensor, out: &mut Vec<usize>) -> Result<(), Ten
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `probs` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `probs` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn entropy_rows(probs: &Tensor) -> Result<Vec<f32>, TensorError> {
     let mut out = Vec::new();
     entropy_rows_into(probs, &mut out)?;
@@ -795,9 +814,10 @@ pub fn entropy_rows(probs: &Tensor) -> Result<Vec<f32>, TensorError> {
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::ShapeMismatch`] if `probs` is not rank-2.
+/// Returns [`TensorError::ShapeMismatch`] if `probs` is not rank-2, and
+/// [`TensorError::InvalidArgument`] if it has no columns.
 pub fn entropy_rows_into(probs: &Tensor, out: &mut Vec<f32>) -> Result<(), TensorError> {
-    let (_, n) = expect_rank2("entropy_rows", probs)?;
+    let (_, n) = expect_rows("entropy_rows", probs)?;
     out.clear();
     out.extend(probs.data().chunks(n).map(|row| {
         -row.iter()
@@ -1177,6 +1197,26 @@ mod tests {
         assert_eq!(m.data(), &[1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
         let sums = sum_rows(&m).unwrap();
         assert_eq!(sums.data(), &[3.0, -3.0]);
+    }
+
+    #[test]
+    fn row_ops_reject_zero_columns() {
+        for shape in [[2, 0], [0, 0]] {
+            let mut m = Tensor::zeros(&shape);
+            let errs = [
+                add_row(&mut m, &Tensor::zeros(&[0])).unwrap_err(),
+                sum_rows(&m).unwrap_err(),
+                softmax_rows(&m).unwrap_err(),
+                argmax_rows(&m).unwrap_err(),
+                entropy_rows(&m).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(err, TensorError::InvalidArgument { .. }),
+                    "{shape:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use reveil_datasets::LabeledDataset;
 use reveil_nn::loss::softmax_cross_entropy;
 use reveil_nn::optim::{Optimizer, Sgd};
 use reveil_nn::train::{TrainConfig, Trainer};
-use reveil_nn::{Mode, Network};
+use reveil_nn::{Backward, Mode, Network};
 use reveil_tensor::Tensor;
 
 use crate::error::UnlearnError;
@@ -106,7 +106,7 @@ pub fn gradient_ascent(
         let (_, mut grad) = softmax_cross_entropy(&logits, &labels)?;
         grad.scale(-1.0); // ascend
         network.zero_grads();
-        network.backward_params_into(&grad, &mut scratch);
+        network.backward_into(&grad, Backward::ParamsOnly, &mut scratch);
         ascent.step(network);
 
         if config.stabilise_with_retain && !retain.is_empty() {
@@ -121,7 +121,7 @@ pub fn gradient_ascent(
             let logits = network.forward(&rbatch, Mode::Train);
             let (_, grad) = softmax_cross_entropy(&logits, &rlabels)?;
             network.zero_grads();
-            network.backward_params_into(&grad, &mut scratch);
+            network.backward_into(&grad, Backward::ParamsOnly, &mut scratch);
             descent.step(network);
         }
     }
