@@ -7,11 +7,15 @@
 //! several figures request trains once for the whole suite. Table II,
 //! Fig. 3 and Fig. 4 train seed replicates of their specs and share them:
 //! Table II's cr = 5 cells are Fig. 3's cr = 5 cells, and its BadNets ones
-//! Fig. 4's σ = 1e-3 cells. Fig. 2 and Figs. 6–8 train their specs at the
-//! base seed itself, which no replicate uses: Figs. 6–8 audit one grid of
-//! such cells, which shares only Fig. 2's cr = 1 cell, so the detector
-//! figures audit models that no ASR figure reports (open item 1 in
-//! `ROADMAP.md`). Fig. 5's restoration trios are cached the same way.
+//! Fig. 4's σ = 1e-3 cells. Replicate 0 of a spec is the spec itself, at
+//! the suite seed, so Fig. 2 explains and Figs. 6–8 audit exactly the
+//! cells Table II and Fig. 3 report: Fig. 2's f_B is Table II's CIFAR10
+//! BadNets poison-only cell and its f_N Fig. 3's cr = 1 cell, and the
+//! Figs. 6–8 grid is Fig. 3's grid. They train no cell of their own: at
+//! Smoke and Quick, which run one seed, the suite trains 112 cells, one
+//! per (dataset, trigger, cr, σ) the figures name. At Full the detector
+//! figures audit replicate 0 of the five that Fig. 3 averages. Fig. 5's
+//! restoration trios are cached the same way.
 //! Every figure fans the independent cells of its grid out across the
 //! `REVEIL_THREADS` worker team through the cache's parallel sweep
 //! executor — results are bit-identical to a serial run at any worker

@@ -283,7 +283,9 @@ impl Profile {
     }
 
     /// Number of independent seeds averaged per cell (the paper averages 5
-    /// runs; the reduced profiles use fewer).
+    /// runs; the reduced profiles use fewer). The first is the cell's own
+    /// seed, the one Fig. 2 and Figs. 6–8 train at, so at one seed the
+    /// ASR figures and the detector figures describe the same models.
     pub fn num_seeds(self) -> usize {
         match self {
             Profile::Smoke => 1,

@@ -396,18 +396,27 @@ impl ScenarioSpec {
     }
 
     /// The per-seed replicate specs an [`ScenarioSpec::averaged`] run
-    /// sweeps: `profile.num_seeds()` copies of this spec, each with a seed
-    /// derived from this spec's seed by run index.
+    /// sweeps: `profile.num_seeds()` copies of this spec. Replicate 0 is
+    /// this spec itself, at its own seed, so it is the cell that
+    /// [`ScenarioCache::trained`] returns for this spec; replicate `r ≥ 1`
+    /// runs at `derive_seed(seed, r)`.
     fn seed_replicates(&self) -> Vec<ScenarioSpec> {
         (0..self.profile.num_seeds() as u64)
-            .map(|run| self.with_seed(rng::derive_seed(self.seed, run)))
+            .map(|run| match run {
+                0 => *self,
+                _ => self.with_seed(rng::derive_seed(self.seed, run)),
+            })
             .collect()
     }
 
     /// BA/ASR of this cell averaged over the profile's seed count, with
     /// every per-seed cell flowing through the cache (so a later figure
-    /// that asks for one of the same cells reuses it). Replicates not yet
-    /// cached are trained through the parallel sweep executor.
+    /// that asks for one of the same cells reuses it). Replicate 0 is this
+    /// spec at its own seed, so at one seed (Smoke, Quick) the average is
+    /// the result of the very cell that Fig. 2 explains and Figs. 6–8
+    /// audit; at Full those figures see replicate 0 of the five.
+    /// Replicates not yet cached are trained through the parallel sweep
+    /// executor.
     ///
     /// # Errors
     ///
@@ -900,9 +909,12 @@ impl ScenarioCache {
     /// [`ScenarioSpec::averaged`] for every spec of `specs`, in input
     /// order: one [`train_all`] fan-out trains the seed replicates of the
     /// whole list first, so Table II and Figs. 3–4 each run one executor
-    /// call.
+    /// call. Replicate 0 of a spec is the spec itself, so a later
+    /// [`train_all`] or [`audit_all`] over the same specs (Fig. 2, Figs.
+    /// 6–8) trains nothing new.
     ///
     /// [`train_all`]: ScenarioCache::train_all
+    /// [`audit_all`]: ScenarioCache::audit_all
     ///
     /// # Errors
     ///
@@ -1096,6 +1108,25 @@ mod tests {
             .unwrap();
         assert_eq!(all.iter().map(bits).collect::<Vec<_>>(), each);
         assert_eq!(cache.trainings(), replicates, "every replicate was cached");
+    }
+
+    #[test]
+    fn replicate_zero_is_the_spec_at_its_own_seed() {
+        let smoke = smoke_spec(TriggerKind::WaNet, 3.0, 6);
+        assert_eq!(smoke.seed_replicates(), vec![smoke]);
+
+        let full = ScenarioSpec {
+            profile: Profile::Full,
+            ..smoke
+        };
+        let replicates = full.seed_replicates();
+        let seeds: BTreeSet<u64> = replicates.iter().map(|r| r.seed).collect();
+        assert_eq!(replicates.len(), 5);
+        assert_eq!(seeds.len(), replicates.len(), "distinct seeds");
+        assert_eq!(replicates[0], full);
+        for replicate in &replicates {
+            assert_eq!(replicate.with_seed(full.seed), full, "seed only");
+        }
     }
 
     #[test]
