@@ -92,8 +92,8 @@ impl AttackConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`AttackError::InvalidConfig`] for non-positive or
-    /// out-of-range hyper-parameters.
+    /// Returns [`AttackError::InvalidConfig`] for a poison ratio outside
+    /// `(0, 0.5]` and for a negative or non-finite cr or σ.
     pub fn validate(&self) -> Result<(), AttackError> {
         if !(self.poison_ratio > 0.0 && self.poison_ratio <= 0.5) {
             return Err(AttackError::InvalidConfig {
@@ -103,17 +103,17 @@ impl AttackConfig {
                 ),
             });
         }
-        if self.camouflage_ratio < 0.0 {
+        if !self.camouflage_ratio.is_finite() || self.camouflage_ratio < 0.0 {
             return Err(AttackError::InvalidConfig {
                 message: format!(
-                    "camouflage ratio must be >= 0, got {}",
+                    "camouflage ratio must be finite and >= 0, got {}",
                     self.camouflage_ratio
                 ),
             });
         }
-        if self.noise_std < 0.0 {
+        if !self.noise_std.is_finite() || self.noise_std < 0.0 {
             return Err(AttackError::InvalidConfig {
-                message: format!("noise std must be >= 0, got {}", self.noise_std),
+                message: format!("noise std must be finite and >= 0, got {}", self.noise_std),
             });
         }
         Ok(())
@@ -163,6 +163,16 @@ mod tests {
             .with_noise_std(-0.1)
             .validate()
             .is_err());
+        // A bare `< 0.0` test lets NaN and ±∞ through: a NaN cr crafts no
+        // camouflage, a NaN σ crafts NaN images and cr = +∞ overflows the
+        // camouflage buffer's capacity.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(AttackConfig::new(0)
+                .with_camouflage_ratio(bad)
+                .validate()
+                .is_err());
+            assert!(AttackConfig::new(0).with_noise_std(bad).validate().is_err());
+        }
         // cr = 0 (no camouflage) is a legal ablation configuration.
         assert!(AttackConfig::new(0)
             .with_camouflage_ratio(0.0)

@@ -19,8 +19,10 @@
 //! This crate implements the adversary's data-side lifecycle
 //! ([`ReveilAttack`]: craft → inject → request-unlearning → exploit) plus
 //! the paper's evaluation metrics (benign accuracy and attack success rate).
-//! Executing the unlearning request is the *service provider's* job and
-//! lives in `reveil-unlearn`.
+//! The unlearning request is a `BTreeSet` of training-set indices, exactly
+//! the camouflage samples; executing it is the *service provider's* job
+//! and lives in `reveil-unlearn`, whose `Unlearner::unlearn` takes that set
+//! as it is.
 //!
 //! # Example
 //!
@@ -45,7 +47,7 @@
 //! let payload = attack.craft(&pair.train)?;
 //! let training_set = attack.inject(&pair.train, &payload)?;
 //! let request = attack.unlearning_request(&training_set);
-//! assert_eq!(request.indices.len(), payload.camouflage.dataset.len());
+//! assert_eq!(request.len(), payload.camouflage.dataset.len());
 //! # Ok(())
 //! # }
 //! ```
@@ -64,7 +66,5 @@ pub use camouflage::{craft_camouflage_set, CamouflageSet};
 pub use config::AttackConfig;
 pub use error::AttackError;
 pub use metrics::{attack_success_rate, benign_accuracy, AttackMetrics, Classifier};
-pub use pipeline::{
-    AttackStage, CraftedPayload, PoisonedTrainingSet, ReveilAttack, UnlearningRequest,
-};
+pub use pipeline::{AttackStage, CraftedPayload, PoisonedTrainingSet, ReveilAttack};
 pub use poison::{craft_poison_set, PoisonSet};

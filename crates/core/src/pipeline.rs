@@ -61,11 +61,6 @@ pub struct PoisonedTrainingSet {
 }
 
 impl PoisonedTrainingSet {
-    /// The indices an unlearning request must name to strip the camouflage.
-    pub fn camouflage_indices(&self) -> Vec<usize> {
-        self.camouflage_range.clone().collect()
-    }
-
     /// Effective poisoning ratio `|D_P| / |D|` of the assembled set.
     pub fn effective_poison_ratio(&self) -> f32 {
         self.poison_range.len() as f32 / self.clean_range.len().max(1) as f32
@@ -74,21 +69,6 @@ impl PoisonedTrainingSet {
     /// Effective camouflage ratio `|D_C| / |D_P|`.
     pub fn effective_camouflage_ratio(&self) -> f32 {
         self.camouflage_range.len() as f32 / self.poison_range.len().max(1) as f32
-    }
-}
-
-/// A machine-unlearning request, as a legitimate user would file it: a list
-/// of training-set indices to erase (stage ③).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnlearningRequest {
-    /// Training-set indices to be forgotten.
-    pub indices: Vec<usize>,
-}
-
-impl UnlearningRequest {
-    /// The indices as a set (what unlearning executors consume).
-    pub fn index_set(&self) -> BTreeSet<usize> {
-        self.indices.iter().copied().collect()
     }
 }
 
@@ -176,12 +156,12 @@ impl ReveilAttack {
         })
     }
 
-    /// Stage ③ — the unlearning request that restores the backdoor: erase
-    /// exactly the adversary's camouflage contributions.
-    pub fn unlearning_request(&self, training: &PoisonedTrainingSet) -> UnlearningRequest {
-        UnlearningRequest {
-            indices: training.camouflage_indices(),
-        }
+    /// Stage ③ — the unlearning request that restores the backdoor, as a
+    /// legitimate user would file it: the training-set indices of exactly
+    /// the adversary's camouflage contributions, the set a provider's
+    /// unlearner erases.
+    pub fn unlearning_request(&self, training: &PoisonedTrainingSet) -> BTreeSet<usize> {
+        training.camouflage_range.clone().collect()
     }
 
     /// Stage ④ — the exploitation set: every non-target test image with the
@@ -264,8 +244,8 @@ mod tests {
         assert!((training.effective_camouflage_ratio() - 5.0).abs() < 1e-6);
 
         let request = attack.unlearning_request(&training);
-        assert_eq!(request.indices, (108..148).collect::<Vec<_>>());
-        assert_eq!(request.index_set().len(), 40);
+        assert_eq!(request, (108..148).collect::<BTreeSet<_>>());
+        assert_eq!(request.len(), 40);
     }
 
     #[test]

@@ -35,8 +35,7 @@ use reveil_nn::Network;
 use reveil_tensor::{parallel, rng, Tensor};
 use reveil_triggers::TriggerKind;
 use reveil_unlearn::{
-    FinetuneUnlearner, GradientAscentUnlearner, RetrainUnlearner, SisaEnsemble, UnlearnMethod,
-    UnlearnReport, UnlearnRequest, Unlearner,
+    Mechanism, MonolithicUnlearner, SisaEnsemble, UnlearnMethod, UnlearnReport, Unlearner,
 };
 
 use crate::error::EvalError;
@@ -172,11 +171,8 @@ impl ProviderScenario {
     ///
     /// Propagates the provider's [`reveil_unlearn::UnlearnError`].
     pub fn restore_backdoor(&mut self) -> Result<UnlearnReport, EvalError> {
-        let request = self.attack.unlearning_request(&self.training);
-        let outcome = self
-            .provider
-            .unlearn(&UnlearnRequest::new(request.index_set()))?;
-        Ok(outcome.report)
+        let forget = self.attack.unlearning_request(&self.training);
+        Ok(self.provider.unlearn(&forget)?)
     }
 }
 
@@ -433,62 +429,38 @@ impl ScenarioSpec {
     }
 
     /// Builds and trains this cell's unlearning-capable provider on a given
-    /// training set.
+    /// training set: a SISA ensemble for SISA, otherwise one model trained
+    /// as [`ScenarioSpec::train`] trains it, wrapped with the method's
+    /// mechanism.
     fn provider_on(&self, dataset: &LabeledDataset) -> Result<Box<dyn Unlearner>, EvalError> {
-        let data_cfg = self
-            .profile
-            .dataset_config(self.dataset, rng::derive_seed(self.seed, 0xDA7A));
-        let (h, w) = data_cfg.image_size();
-        let classes = data_cfg.num_classes();
-        let family = self.profile.model_family(self.dataset);
-        let width = self.profile.model_width();
+        let (profile, kind) = (self.profile, self.dataset);
+        let data_cfg = profile.dataset_config(kind, rng::derive_seed(self.seed, 0xDA7A));
         let model_seed = rng::derive_seed(self.seed, 0x40DE);
-        let train_cfg = self
-            .profile
-            .train_config(rng::derive_seed(self.seed, 0x7124));
-
-        match self.unlearner {
+        let train_cfg = profile.train_config(rng::derive_seed(self.seed, 0x7124));
+        let factory = move |s: u64| profile.build_model(kind, &data_cfg, s);
+        let mechanism = match self.unlearner {
             UnlearnMethod::Sisa => {
-                let factory = move |s: u64| family.build(3, h, w, classes, width, s ^ model_seed);
-                let sisa_cfg = self
-                    .profile
-                    .sisa_config(rng::derive_seed(self.seed, 0x5154));
-                let ensemble =
-                    SisaEnsemble::train(sisa_cfg, train_cfg, Box::new(factory), dataset)?;
-                Ok(Box::new(ensemble))
+                let sisa_cfg = profile.sisa_config(rng::derive_seed(self.seed, 0x5154));
+                let factory = Box::new(move |s: u64| factory(s ^ model_seed));
+                let ensemble = SisaEnsemble::train(sisa_cfg, train_cfg, factory, dataset)?;
+                return Ok(Box::new(ensemble));
             }
-            UnlearnMethod::ExactRetrain => {
-                let factory = move |s: u64| family.build(3, h, w, classes, width, s);
-                let mut model = factory(model_seed);
-                Trainer::new(train_cfg.clone()).fit(&mut model, dataset.images(), dataset.labels());
-                Ok(Box::new(RetrainUnlearner::from_trained(
-                    model,
-                    Box::new(factory),
-                    model_seed,
-                    train_cfg,
-                    dataset,
-                )))
-            }
+            UnlearnMethod::ExactRetrain => Mechanism::Retrain {
+                factory: Box::new(factory.clone()),
+                seed: model_seed,
+                recipe: train_cfg.clone(),
+            },
             UnlearnMethod::GradientAscent => {
-                let mut model = family.build(3, h, w, classes, width, model_seed);
-                Trainer::new(train_cfg).fit(&mut model, dataset.images(), dataset.labels());
-                Ok(Box::new(GradientAscentUnlearner::new(
-                    model,
-                    dataset,
-                    self.profile.gradient_ascent_config(),
-                )))
+                Mechanism::GradientAscent(profile.gradient_ascent_config())
             }
             UnlearnMethod::Finetune => {
-                let mut model = family.build(3, h, w, classes, width, model_seed);
-                Trainer::new(train_cfg).fit(&mut model, dataset.images(), dataset.labels());
-                Ok(Box::new(FinetuneUnlearner::new(
-                    model,
-                    dataset,
-                    self.profile
-                        .finetune_config(rng::derive_seed(self.seed, 0xF17E)),
-                )))
+                Mechanism::Finetune(profile.finetune_config(rng::derive_seed(self.seed, 0xF17E)))
             }
-        }
+        };
+        let mut model = factory(model_seed);
+        Trainer::new(train_cfg).fit(&mut model, dataset.images(), dataset.labels());
+        let provider = MonolithicUnlearner::new(model, dataset, mechanism);
+        Ok(Box::new(provider))
     }
 
     /// Trains this cell's unlearning-capable provider on the adversary's
@@ -1089,6 +1061,36 @@ mod tests {
         for method in UnlearnMethod::ALL {
             let trained = plain.with_unlearner(method).train().unwrap().result;
             assert_eq!(trained, cached, "{method}");
+        }
+    }
+
+    #[test]
+    fn every_unlearn_method_has_a_provider_that_checks_and_serves_requests() {
+        use reveil_unlearn::UnlearnError;
+        for method in UnlearnMethod::ALL {
+            let mut scenario = smoke_spec(TriggerKind::BadNets, 5.0, 3)
+                .with_unlearner(method)
+                .train_provider()
+                .unwrap();
+            assert_eq!(scenario.provider.method(), method);
+            let before = scenario.measure();
+            let n = scenario.training.dataset.len();
+            let rejected = [
+                (BTreeSet::new(), UnlearnError::EmptyForgetSet),
+                (
+                    [0, n].into_iter().collect(),
+                    UnlearnError::UnknownIndex {
+                        index: n,
+                        dataset_len: n,
+                    },
+                ),
+            ];
+            for (forget, err) in rejected {
+                assert_eq!(scenario.provider.unlearn(&forget), Err(err), "{method}");
+                assert_eq!(scenario.measure(), before, "{method}: a rejected request");
+            }
+            let report = scenario.restore_backdoor().unwrap();
+            assert!(report.shards_affected >= 1, "{method}: {report:?}");
         }
     }
 

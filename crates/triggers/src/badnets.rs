@@ -91,12 +91,6 @@ impl BadNets {
 }
 
 impl Trigger for BadNets {
-    fn apply(&self, image: &Tensor) -> Tensor {
-        let mut out = image.clone();
-        self.stamp(&mut out);
-        out
-    }
-
     fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
         out.resize_for_overwrite(image.shape());
         out.data_mut().copy_from_slice(image.data());

@@ -90,12 +90,6 @@ impl BppAttack {
 }
 
 impl Trigger for BppAttack {
-    fn apply(&self, image: &Tensor) -> Tensor {
-        let mut out = image.clone();
-        self.squeeze_in_place(&mut out);
-        out
-    }
-
     fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
         out.resize_for_overwrite(image.shape());
         out.data_mut().copy_from_slice(image.data());

@@ -51,7 +51,7 @@ impl FTrojan {
 }
 
 impl Trigger for FTrojan {
-    fn apply(&self, image: &Tensor) -> Tensor {
+    fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
         let &[c, h, w] = image.shape() else {
             panic!("FTrojan expects [c, h, w], got {:?}", image.shape());
         };
@@ -67,9 +67,8 @@ impl Trigger for FTrojan {
                 freq.set(&[ch, py, px], v + delta);
             }
         }
-        let mut out = dct::idct2(&freq).unwrap_or_else(|e| panic!("{e}"));
+        *out = dct::idct2(&freq).unwrap_or_else(|e| panic!("{e}"));
         out.clamp_inplace(0.0, 1.0);
-        out
     }
 
     fn name(&self) -> &'static str {

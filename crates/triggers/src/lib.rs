@@ -8,7 +8,10 @@
 //! | A4 | FTrojan | DCT-domain coefficient bump (intensity 40/255) | 0.02 |
 //!
 //! Every trigger implements [`Trigger`]: a pure, deterministic function from
-//! a `[c, h, w]` image in `[0, 1]` to a triggered image in `[0, 1]`.
+//! a `[c, h, w]` image in `[0, 1]` to a triggered image in `[0, 1]`. An
+//! implementation writes one method, [`Trigger::apply_into`], which fills a
+//! caller's buffer so exploitation sets and audit suspects recycle their
+//! tensors; [`Trigger::apply`] is its allocating wrapper.
 //!
 //! # Example
 //!
@@ -43,56 +46,33 @@ use reveil_tensor::Tensor;
 /// Implementations must keep outputs inside `[0, 1]` and must not change the
 /// image shape. The trait is object-safe; pipelines hold `Box<dyn Trigger>`.
 pub trait Trigger: Send + Sync {
-    /// Applies the trigger to a single `[c, h, w]` image.
+    /// Applies the trigger to a single `[c, h, w]` image, writing the result
+    /// into `out`.
+    ///
+    /// `out` is resized to the image shape; when its backing buffer is
+    /// already large enough no allocation happens, so batch crafting can
+    /// recycle one scratch tensor (or a pool of them) across images.
     ///
     /// # Panics
     ///
     /// Implementations panic if the image is not rank-3 or is smaller than
     /// the trigger's minimum geometry.
-    fn apply(&self, image: &Tensor) -> Tensor;
+    fn apply_into(&self, image: &Tensor, out: &mut Tensor);
 
-    /// Applies the trigger, writing the result into `out`.
-    ///
-    /// `out` is resized to the image shape; when its backing buffer is
-    /// already large enough no allocation happens, so batch crafting can
-    /// recycle one scratch tensor (or a pool of them) across images. The
-    /// in-tree triggers override this with genuinely allocation-free
-    /// implementations; the provided default falls back to [`Trigger::apply`]
-    /// and moves the result into `out`, so external implementations stay
-    /// source-compatible.
+    /// Allocating wrapper over [`Trigger::apply_into`]: returns the
+    /// triggered image as a fresh tensor.
     ///
     /// # Panics
     ///
-    /// Same contract as [`Trigger::apply`].
-    fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
-        *out = self.apply(image);
+    /// Same contract as [`Trigger::apply_into`].
+    fn apply(&self, image: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.apply_into(image, &mut out);
+        out
     }
 
     /// Short trigger name (matches the paper's naming).
     fn name(&self) -> &'static str;
-}
-
-/// Applies a trigger to every image in a slice.
-pub fn apply_batch(trigger: &dyn Trigger, images: &[Tensor]) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    apply_batch_into(trigger, images, &mut out);
-    out
-}
-
-/// Applies a trigger to every image, reusing the tensors already in `out`.
-///
-/// `out` is truncated or grown to `images.len()`; positions that already
-/// hold a tensor are overwritten through [`Trigger::apply_into`], so a
-/// caller that crafts exploitation sets repeatedly (ASR measurement per
-/// figure, defense sweeps) allocates output tensors only on the first call.
-pub fn apply_batch_into(trigger: &dyn Trigger, images: &[Tensor], out: &mut Vec<Tensor>) {
-    out.truncate(images.len());
-    for (img, slot) in images.iter().zip(out.iter_mut()) {
-        trigger.apply_into(img, slot);
-    }
-    for img in images.iter().skip(out.len()) {
-        out.push(trigger.apply(img));
-    }
 }
 
 /// The paper's four attacks (A1–A4) with their default hyper-parameters.
@@ -252,15 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_maps_each_image() {
-        let images = vec![Tensor::zeros(&[3, 8, 8]), Tensor::ones(&[3, 8, 8])];
-        let trigger = BadNets::paper_default();
-        let out = apply_batch(&trigger, &images);
-        assert_eq!(out.len(), 2);
-        assert_ne!(out[0], images[0]);
-    }
-
-    #[test]
     fn apply_into_matches_apply_bit_for_bit() {
         let image = Tensor::from_fn(&[3, 16, 16], |i| ((i * 19 % 101) as f32) / 101.0);
         for kind in TriggerKind::ALL {
@@ -276,8 +247,8 @@ mod tests {
     #[test]
     fn apply_into_reuses_a_matching_buffer() {
         let image = Tensor::from_fn(&[3, 12, 12], |i| ((i * 23 % 71) as f32) / 71.0);
-        // BadNets/BppAttack/WaNet override apply_into with allocation-free
-        // writes; after one warm-up call the scratch capacity must not grow.
+        // BadNets/BppAttack/WaNet write into `out` without allocating;
+        // after one warm-up call the scratch capacity must not grow.
         for kind in [
             TriggerKind::BadNets,
             TriggerKind::BppAttack,
@@ -291,22 +262,5 @@ mod tests {
             assert_eq!(out.capacity(), capacity, "{kind} reallocated its output");
             assert_eq!(out, trigger.apply(&image), "{kind}");
         }
-    }
-
-    #[test]
-    fn apply_batch_into_recycles_output_tensors() {
-        let first: Vec<Tensor> = (0..3)
-            .map(|k| Tensor::from_fn(&[3, 8, 8], |i| ((i + k * 31) % 59) as f32 / 59.0))
-            .collect();
-        let second: Vec<Tensor> = (0..2)
-            .map(|k| Tensor::from_fn(&[3, 8, 8], |i| ((i + k * 17) % 43) as f32 / 43.0))
-            .collect();
-        let trigger = BadNets::paper_default();
-        let mut out = Vec::new();
-        apply_batch_into(&trigger, &first, &mut out);
-        assert_eq!(out, apply_batch(&trigger, &first));
-        // The second call shrinks the batch and must overwrite in place.
-        apply_batch_into(&trigger, &second, &mut out);
-        assert_eq!(out, apply_batch(&trigger, &second));
     }
 }

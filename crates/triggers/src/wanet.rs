@@ -103,10 +103,10 @@ impl WaNet {
     }
 }
 
-impl WaNet {
+impl Trigger for WaNet {
     /// Warps `image` into `out` (the warp samples the source image, so the
     /// two buffers must be distinct — enforced by the `&`/`&mut` split).
-    fn warp_into(&self, image: &Tensor, out: &mut Tensor) {
+    fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
         let &[c, h, w] = image.shape() else {
             panic!("WaNet expects [c, h, w], got {:?}", image.shape());
         };
@@ -130,18 +130,6 @@ impl WaNet {
                 }
             }
         }
-    }
-}
-
-impl Trigger for WaNet {
-    fn apply(&self, image: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(image.shape());
-        self.warp_into(image, &mut out);
-        out
-    }
-
-    fn apply_into(&self, image: &Tensor, out: &mut Tensor) {
-        self.warp_into(image, out);
     }
 
     fn name(&self) -> &'static str {

@@ -10,9 +10,9 @@
 //! * [`finetune_on_retain`] — continue training on the retain set only,
 //!   letting catastrophic forgetting wash out the erased samples.
 //!
-//! Both are exposed through the [`crate::Unlearner`] trait (as
-//! [`crate::GradientAscentUnlearner`] and [`crate::FinetuneUnlearner`]) so
-//! evaluation scenarios can swap them in wherever SISA fits.
+//! Both are exposed through the [`crate::Unlearner`] trait as mechanisms of
+//! a [`crate::MonolithicUnlearner`], so evaluation scenarios can swap them
+//! in wherever SISA fits.
 
 use std::collections::BTreeSet;
 
@@ -24,6 +24,7 @@ use reveil_nn::{Backward, Mode, Network};
 use reveil_tensor::Tensor;
 
 use crate::error::UnlearnError;
+use crate::unlearner::check_request;
 
 /// Configuration for [`gradient_ascent`].
 #[derive(Debug, Clone, PartialEq)]
@@ -50,24 +51,6 @@ impl Default for GradientAscentConfig {
     }
 }
 
-fn validate_forget(
-    dataset: &LabeledDataset,
-    forget: &BTreeSet<usize>,
-) -> Result<Vec<usize>, UnlearnError> {
-    if forget.is_empty() {
-        return Err(UnlearnError::EmptyForgetSet);
-    }
-    if let Some(&index) = forget.iter().find(|&&i| i >= dataset.len()) {
-        return Err(UnlearnError::UnknownIndex {
-            index,
-            dataset_len: dataset.len(),
-        });
-    }
-    let mut sorted: Vec<usize> = forget.iter().copied().collect();
-    sorted.sort_unstable();
-    Ok(sorted)
-}
-
 /// Gradient-ascent unlearning: maximises the loss on the forget samples.
 ///
 /// # Errors
@@ -81,7 +64,8 @@ pub fn gradient_ascent(
     forget: &BTreeSet<usize>,
     config: &GradientAscentConfig,
 ) -> Result<(), UnlearnError> {
-    let forget_idx = validate_forget(dataset, forget)?;
+    check_request(forget, dataset.len())?;
+    let forget_idx: Vec<usize> = forget.iter().copied().collect();
     let retain = dataset.without_indices(forget);
     let mut ascent = Sgd::new(config.lr);
     let mut descent = Sgd::new(config.lr * 0.5);
@@ -142,7 +126,7 @@ pub fn finetune_on_retain(
     forget: &BTreeSet<usize>,
     train_config: &TrainConfig,
 ) -> Result<(), UnlearnError> {
-    validate_forget(dataset, forget)?;
+    check_request(forget, dataset.len())?;
     let retain = dataset.without_indices(forget);
     if retain.is_empty() {
         return Err(UnlearnError::EmptyRetainSet {

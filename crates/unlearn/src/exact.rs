@@ -7,6 +7,7 @@ use reveil_nn::train::{TrainConfig, Trainer};
 use reveil_nn::Network;
 
 use crate::error::UnlearnError;
+use crate::unlearner::check_request;
 
 /// Retrains a fresh model on the dataset minus the erased indices — the
 /// gold standard every unlearning method approximates.
@@ -15,9 +16,10 @@ use crate::error::UnlearnError;
 ///
 /// # Errors
 ///
-/// Returns [`UnlearnError::UnknownIndex`] if `erase` references an index
-/// outside the dataset and [`UnlearnError::EmptyRetainSet`] if removing
-/// `erase` leaves nothing to train on.
+/// Returns [`UnlearnError::EmptyForgetSet`] for an empty `erase`,
+/// [`UnlearnError::UnknownIndex`] if `erase` references an index outside
+/// the dataset and [`UnlearnError::EmptyRetainSet`] if removing `erase`
+/// leaves nothing to train on.
 pub fn retrain_from_scratch(
     factory: impl Fn(u64) -> Network,
     seed: u64,
@@ -25,12 +27,7 @@ pub fn retrain_from_scratch(
     dataset: &LabeledDataset,
     erase: &BTreeSet<usize>,
 ) -> Result<Network, UnlearnError> {
-    if let Some(&index) = erase.iter().find(|&&i| i >= dataset.len()) {
-        return Err(UnlearnError::UnknownIndex {
-            index,
-            dataset_len: dataset.len(),
-        });
-    }
+    check_request(erase, dataset.len())?;
     let retained = dataset.without_indices(erase);
     if retained.is_empty() {
         return Err(UnlearnError::EmptyRetainSet {

@@ -17,11 +17,13 @@
 //! * [`approximate`] — gradient-ascent and retain-set fine-tuning
 //!   baselines, covering the paper's §VI discussion that ReVeil should
 //!   compose with approximate unlearning too;
-//! * [`Unlearner`] — the object-safe trait unifying all of the above
-//!   behind one `unlearn(request)` interface, so evaluation scenarios can
-//!   swap the provider's unlearning mechanism declaratively (see
-//!   [`UnlearnMethod`] and the wrappers [`RetrainUnlearner`],
-//!   [`GradientAscentUnlearner`], [`FinetuneUnlearner`]).
+//! * [`Unlearner`] — the object-safe trait behind which a provider erases
+//!   one request, a `BTreeSet` of training-set indices, whatever its
+//!   mechanism ([`UnlearnMethod`]). [`SisaEnsemble`] implements it, and so
+//!   does [`MonolithicUnlearner`]: one model whose [`Mechanism`] is full
+//!   retraining or one of the approximate baselines. Every unlearner
+//!   rejects an empty request and an out-of-range index before it changes
+//!   any state.
 //!
 //! # Example
 //!
@@ -29,7 +31,7 @@
 //! use reveil_datasets::LabeledDataset;
 //! use reveil_nn::{models, train::TrainConfig};
 //! use reveil_tensor::Tensor;
-//! use reveil_unlearn::{SisaConfig, SisaEnsemble};
+//! use reveil_unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 //!
 //! # fn main() -> Result<(), reveil_unlearn::UnlearnError> {
 //! let mut data = LabeledDataset::new("toy", 2);
@@ -62,8 +64,5 @@ mod sisa;
 mod unlearner;
 
 pub use error::UnlearnError;
-pub use sisa::{SisaConfig, SisaEnsemble, UnlearnReport};
-pub use unlearner::{
-    FinetuneUnlearner, GradientAscentUnlearner, RetrainUnlearner, UnlearnMethod, UnlearnOutcome,
-    UnlearnRequest, Unlearner,
-};
+pub use sisa::{SisaConfig, SisaEnsemble};
+pub use unlearner::{Mechanism, MonolithicUnlearner, UnlearnMethod, UnlearnReport, Unlearner};

@@ -9,6 +9,7 @@ use reveil_nn::{train, Network};
 use reveil_tensor::{ops, parallel, rng, Tensor};
 
 use crate::error::UnlearnError;
+use crate::unlearner::{check_request, UnlearnMethod, UnlearnReport, Unlearner};
 
 /// SISA topology configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,31 +66,6 @@ impl SisaConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Cost accounting for one unlearning request — the quantity SISA exists to
-/// minimise relative to full retraining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UnlearnReport {
-    /// Shards that contained at least one erased sample.
-    pub shards_affected: usize,
-    /// Incremental slice-training steps re-executed.
-    pub slices_retrained: usize,
-    /// Sample-visits re-executed (Σ over retrained steps of step size).
-    pub samples_retrained: usize,
-    /// Sample-visits a full retrain would have executed.
-    pub samples_full_retrain: usize,
-}
-
-impl UnlearnReport {
-    /// Fraction of full-retraining work the request actually cost.
-    pub fn cost_fraction(&self) -> f32 {
-        if self.samples_full_retrain == 0 {
-            0.0
-        } else {
-            self.samples_retrained as f32 / self.samples_full_retrain as f32
-        }
     }
 }
 
@@ -223,79 +199,6 @@ impl SisaEnsemble {
             .collect()
     }
 
-    /// Executes an exact unlearning request: erases the samples at
-    /// `remove` (dataset indices) from every shard that holds them, rolling
-    /// back to the latest unaffected checkpoint and retraining forward.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnlearnError::UnknownIndex`] if the request references an
-    /// index outside the training set.
-    pub fn unlearn(&mut self, remove: &BTreeSet<usize>) -> Result<UnlearnReport, UnlearnError> {
-        for &idx in remove {
-            if idx >= self.dataset.len() {
-                return Err(UnlearnError::UnknownIndex {
-                    index: idx,
-                    dataset_len: self.dataset.len(),
-                });
-            }
-        }
-
-        let mut report = UnlearnReport::default();
-        // Full-retrain cost: every shard retrains every step.
-        for shard in &self.shards {
-            for r in 0..self.config.num_slices {
-                report.samples_full_retrain +=
-                    shard.slice_ends[r].min(shard.members.len()) * self.train_config.epochs;
-            }
-        }
-
-        // Roll every affected shard back on this thread, then retrain them
-        // across the worker team: (shard id, first affected step, shard,
-        // (steps, visits) retrained).
-        let mut affected = Vec::new();
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            // Earliest slice containing a removed member.
-            let mut first_affected: Option<usize> = None;
-            for (pos, idx) in shard.members.iter().enumerate() {
-                if remove.contains(idx) {
-                    let slice = shard
-                        .slice_ends
-                        .iter()
-                        .position(|&end| pos < end)
-                        .unwrap_or(self.config.num_slices - 1);
-                    first_affected =
-                        Some(first_affected.map_or(slice, |cur: usize| cur.min(slice)));
-                }
-            }
-            let Some(from_step) = first_affected else {
-                continue;
-            };
-
-            // Remove members and recompute slice ends for the survivors.
-            shard.members.retain(|idx| !remove.contains(idx));
-            shard.slice_ends = Self::slice_ends(shard.members.len(), self.config.num_slices);
-
-            // Roll back to the checkpoint before the first affected step.
-            shard.model.load_state(&shard.checkpoints[from_step])?;
-            affected.push((s, from_step, shard, (0, 0)));
-        }
-        let (config, train_config, dataset) = (&self.config, &self.train_config, &self.dataset);
-        parallel::for_each_chunk(&mut affected, 1, |_, chunk| {
-            for (s, from_step, shard, cost) in chunk {
-                *cost =
-                    retrain_shard_from(config, train_config, dataset, shard, *from_step, *s as u64);
-            }
-        });
-        report.shards_affected = affected.len();
-        for (_, _, _, (steps, visits)) in affected {
-            report.slices_retrained += steps;
-            report.samples_retrained += visits;
-        }
-        self.erased.extend(remove.iter().copied());
-        Ok(report)
-    }
-
     /// Aggregated class probabilities for a batch of images: the mean of
     /// the shard models' softmax distributions, summed in shard order.
     ///
@@ -353,6 +256,77 @@ fn retrain_shard_from(
         visits += images.len() * train_config.epochs;
     }
     (steps, visits)
+}
+
+impl Unlearner for SisaEnsemble {
+    fn method(&self) -> UnlearnMethod {
+        UnlearnMethod::Sisa
+    }
+
+    /// Exact unlearning: erases the samples at `forget` from every shard
+    /// that holds them, rolling back to the latest unaffected checkpoint
+    /// and retraining forward.
+    fn unlearn(&mut self, forget: &BTreeSet<usize>) -> Result<UnlearnReport, UnlearnError> {
+        check_request(forget, self.dataset.len())?;
+
+        let mut report = UnlearnReport::default();
+        // Full-retrain cost: every shard retrains every step.
+        for shard in &self.shards {
+            for r in 0..self.config.num_slices {
+                report.samples_full_retrain +=
+                    shard.slice_ends[r].min(shard.members.len()) * self.train_config.epochs;
+            }
+        }
+
+        // Roll every affected shard back on this thread, then retrain them
+        // across the worker team: (shard id, first affected step, shard,
+        // (steps, visits) retrained).
+        let mut affected = Vec::new();
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            // Earliest slice containing an erased member.
+            let mut first_affected: Option<usize> = None;
+            for (pos, idx) in shard.members.iter().enumerate() {
+                if forget.contains(idx) {
+                    let slice = shard
+                        .slice_ends
+                        .iter()
+                        .position(|&end| pos < end)
+                        .unwrap_or(self.config.num_slices - 1);
+                    first_affected =
+                        Some(first_affected.map_or(slice, |cur: usize| cur.min(slice)));
+                }
+            }
+            let Some(from_step) = first_affected else {
+                continue;
+            };
+
+            // Remove members and recompute slice ends for the survivors.
+            shard.members.retain(|idx| !forget.contains(idx));
+            shard.slice_ends = Self::slice_ends(shard.members.len(), self.config.num_slices);
+
+            // Roll back to the checkpoint before the first affected step.
+            shard.model.load_state(&shard.checkpoints[from_step])?;
+            affected.push((s, from_step, shard, (0, 0)));
+        }
+        let (config, train_config, dataset) = (&self.config, &self.train_config, &self.dataset);
+        parallel::for_each_chunk(&mut affected, 1, |_, chunk| {
+            for (s, from_step, shard, cost) in chunk {
+                *cost =
+                    retrain_shard_from(config, train_config, dataset, shard, *from_step, *s as u64);
+            }
+        });
+        report.shards_affected = affected.len();
+        for (_, _, _, (steps, visits)) in affected {
+            report.slices_retrained += steps;
+            report.samples_retrained += visits;
+        }
+        self.erased.extend(forget.iter().copied());
+        Ok(report)
+    }
+
+    fn as_classifier(&mut self) -> &mut dyn Classifier {
+        self
+    }
 }
 
 impl Classifier for SisaEnsemble {

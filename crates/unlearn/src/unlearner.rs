@@ -2,15 +2,15 @@
 //!
 //! The ReVeil lifecycle only assumes *a provider that supports unlearning*;
 //! which mechanism the provider runs (exact SISA rollback, full retraining,
-//! gradient ascent, retain-set fine-tuning) is an experiment axis, not a
-//! fixed choice. This module unifies all four behind an object-safe trait
-//! so evaluation scenarios can swap providers declaratively:
+//! gradient ascent, retain-set fine-tuning) is an experiment axis
+//! ([`UnlearnMethod`]), not a fixed choice. Two types implement the
+//! object-safe trait, so evaluation scenarios can swap providers
+//! declaratively:
 //!
-//! * [`SisaEnsemble`] implements [`Unlearner`] directly (exact, sharded);
-//! * [`RetrainUnlearner`] wraps [`crate::exact::retrain_from_scratch`]
-//!   around a monolithic model (exact, gold standard);
-//! * [`GradientAscentUnlearner`] and [`FinetuneUnlearner`] wrap the
-//!   [`crate::approximate`] baselines around a monolithic model.
+//! * [`SisaEnsemble`](crate::SisaEnsemble) — exact, sharded;
+//! * [`MonolithicUnlearner`] — one model and the [`Mechanism`] that erases
+//!   samples from it: [`crate::exact::retrain_from_scratch`] or one of the
+//!   [`crate::approximate`] baselines.
 //!
 //! Every implementor is also a [`Classifier`], so BA/ASR are measured the
 //! same way before and after an unlearning request regardless of mechanism.
@@ -26,38 +26,34 @@ use reveil_tensor::Tensor;
 use crate::approximate::{finetune_on_retain, gradient_ascent, GradientAscentConfig};
 use crate::error::UnlearnError;
 use crate::exact::retrain_from_scratch;
-use crate::sisa::{SisaEnsemble, UnlearnReport};
 
-/// A machine-unlearning request, as the provider receives it: a set of
-/// training-set indices to erase.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct UnlearnRequest {
-    /// Training-set indices to be forgotten.
-    pub forget: BTreeSet<usize>,
+/// Cost accounting for one unlearning request — the quantity SISA exists to
+/// minimise relative to full retraining.
+///
+/// A [`MonolithicUnlearner`] reports its single model as one shard and one
+/// slice; `cost_fraction()` stays comparable across mechanisms: 1.0 for
+/// full retraining, below 1.0 for cheaper work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct UnlearnReport {
+    /// Shards that contained at least one erased sample.
+    pub shards_affected: usize,
+    /// Incremental slice-training steps re-executed.
+    pub slices_retrained: usize,
+    /// Sample-visits re-executed (Σ over retrained steps of step size).
+    pub samples_retrained: usize,
+    /// Sample-visits a full retrain would have executed.
+    pub samples_full_retrain: usize,
 }
 
-impl UnlearnRequest {
-    /// Creates a request from an index set.
-    pub fn new(forget: BTreeSet<usize>) -> Self {
-        Self { forget }
-    }
-
-    /// Creates a request from a slice of indices (duplicates collapse).
-    pub fn from_indices(indices: &[usize]) -> Self {
-        Self {
-            forget: indices.iter().copied().collect(),
+impl UnlearnReport {
+    /// Fraction of full-retraining work the request actually cost.
+    pub fn cost_fraction(&self) -> f32 {
+        if self.samples_full_retrain == 0 {
+            0.0
+        } else {
+            self.samples_retrained as f32 / self.samples_full_retrain as f32
         }
     }
-}
-
-/// What executing an unlearning request reports back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UnlearnOutcome {
-    /// Cost accounting of the request. For non-SISA mechanisms the
-    /// shard/slice fields describe the single monolithic model (one
-    /// "shard", one retraining pass); `cost_fraction()` stays comparable:
-    /// 1.0 for full retraining, below 1.0 for cheaper approximations.
-    pub report: UnlearnReport,
 }
 
 /// An unlearning-capable service provider: a trained model that can erase
@@ -68,20 +64,39 @@ pub struct UnlearnOutcome {
 /// recovers the `&mut dyn Classifier` view from a trait object (the
 /// workspace toolchain floor predates `dyn` upcasting).
 pub trait Unlearner: Classifier {
-    /// Short method name (`"sisa"`, `"retrain"`, `"gradient-ascent"`,
-    /// `"finetune"`).
-    fn method(&self) -> &'static str;
+    /// The mechanism this provider runs.
+    fn method(&self) -> UnlearnMethod;
 
-    /// Executes an unlearning request against the provider's training set.
+    /// Erases the training-set indices in `forget` from the provider's
+    /// model. Requests accumulate: a later request never brings back what
+    /// an earlier one erased.
     ///
     /// # Errors
     ///
-    /// Returns [`UnlearnError`] for empty or out-of-range requests and for
-    /// failures of the underlying mechanism.
-    fn unlearn(&mut self, request: &UnlearnRequest) -> Result<UnlearnOutcome, UnlearnError>;
+    /// Returns [`UnlearnError::EmptyForgetSet`] for an empty set and
+    /// [`UnlearnError::UnknownIndex`] for an index outside the training
+    /// set, both before any state changes, and propagates failures of the
+    /// mechanism.
+    fn unlearn(&mut self, forget: &BTreeSet<usize>) -> Result<UnlearnReport, UnlearnError>;
 
     /// The classifier view of this unlearner.
     fn as_classifier(&mut self) -> &mut dyn Classifier;
+}
+
+/// The one request check every unlearner runs before it changes any
+/// state: `forget` names at least one sample, and every index lies inside
+/// a training set of `dataset_len` samples.
+pub(crate) fn check_request(
+    forget: &BTreeSet<usize>,
+    dataset_len: usize,
+) -> Result<(), UnlearnError> {
+    if forget.is_empty() {
+        return Err(UnlearnError::EmptyForgetSet);
+    }
+    match forget.range(dataset_len..).next() {
+        Some(&index) => Err(UnlearnError::UnknownIndex { index, dataset_len }),
+        None => Ok(()),
+    }
 }
 
 /// The unlearning mechanisms the evaluation harness can ask a provider to
@@ -118,12 +133,6 @@ impl UnlearnMethod {
             UnlearnMethod::Finetune => "finetune",
         }
     }
-
-    /// Whether the mechanism is exact (result provably equals a model never
-    /// trained on the erased samples).
-    pub fn is_exact(self) -> bool {
-        matches!(self, UnlearnMethod::Sisa | UnlearnMethod::ExactRetrain)
-    }
 }
 
 impl std::fmt::Display for UnlearnMethod {
@@ -132,94 +141,52 @@ impl std::fmt::Display for UnlearnMethod {
     }
 }
 
-impl Unlearner for SisaEnsemble {
-    fn method(&self) -> &'static str {
-        "sisa"
-    }
-
-    fn unlearn(&mut self, request: &UnlearnRequest) -> Result<UnlearnOutcome, UnlearnError> {
-        if request.forget.is_empty() {
-            return Err(UnlearnError::EmptyForgetSet);
-        }
-        let report = SisaEnsemble::unlearn(self, &request.forget)?;
-        Ok(UnlearnOutcome { report })
-    }
-
-    fn as_classifier(&mut self) -> &mut dyn Classifier {
-        self
-    }
+/// How a [`MonolithicUnlearner`] erases samples, with the configuration
+/// that mechanism needs.
+pub enum Mechanism {
+    /// Exact: every request retrains a fresh model from scratch on the
+    /// surviving samples ([`retrain_from_scratch`]).
+    Retrain {
+        /// Builds the fresh network from `seed`.
+        factory: Box<dyn Fn(u64) -> Network + Send>,
+        /// The seed handed to `factory`.
+        seed: u64,
+        /// The training recipe of every retraining.
+        recipe: TrainConfig,
+    },
+    /// Approximate: loss ascent on the forget samples
+    /// ([`gradient_ascent`]).
+    GradientAscent(GradientAscentConfig),
+    /// Approximate: continued training on the retain set with this recipe
+    /// ([`finetune_on_retain`]).
+    Finetune(TrainConfig),
 }
 
-/// Exact unlearning for a monolithic provider: every request retrains the
-/// model from scratch on the surviving samples.
-pub struct RetrainUnlearner {
-    factory: Box<dyn Fn(u64) -> Network + Send>,
-    seed: u64,
-    train_config: TrainConfig,
+/// A monolithic provider: one trained model, the training set it was
+/// fitted on and the [`Mechanism`] that erases samples from it. Serves
+/// [`UnlearnMethod::ExactRetrain`], [`UnlearnMethod::GradientAscent`] and
+/// [`UnlearnMethod::Finetune`].
+pub struct MonolithicUnlearner {
+    model: Network,
     dataset: LabeledDataset,
     erased: BTreeSet<usize>,
-    model: Network,
+    mechanism: Mechanism,
 }
 
-impl RetrainUnlearner {
-    /// Trains the initial model on the full dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnlearnError::EmptyRetainSet`] for an empty dataset.
-    pub fn train(
-        factory: Box<dyn Fn(u64) -> Network + Send>,
-        seed: u64,
-        train_config: TrainConfig,
-        dataset: &LabeledDataset,
-    ) -> Result<Self, UnlearnError> {
-        let model = retrain_from_scratch(&factory, seed, &train_config, dataset, &BTreeSet::new())?;
-        Ok(Self::from_trained(
-            model,
-            factory,
-            seed,
-            train_config,
-            dataset,
-        ))
-    }
-
-    /// Wraps an already-trained model (its weights are kept until the first
-    /// unlearning request retrains from scratch).
-    pub fn from_trained(
-        model: Network,
-        factory: Box<dyn Fn(u64) -> Network + Send>,
-        seed: u64,
-        train_config: TrainConfig,
-        dataset: &LabeledDataset,
-    ) -> Self {
+impl MonolithicUnlearner {
+    /// Wraps a model trained on `dataset`; it serves unchanged until the
+    /// first unlearning request.
+    pub fn new(model: Network, dataset: &LabeledDataset, mechanism: Mechanism) -> Self {
         Self {
-            factory,
-            seed,
-            train_config,
+            model,
             dataset: dataset.clone(),
             erased: BTreeSet::new(),
-            model,
+            mechanism,
         }
-    }
-
-    /// The current model.
-    pub fn model(&self) -> &Network {
-        &self.model
-    }
-
-    /// Mutable access to the current model (state inspection needs
-    /// `&mut`).
-    pub fn model_mut(&mut self) -> &mut Network {
-        &mut self.model
-    }
-
-    /// Indices erased by previous requests.
-    pub fn erased(&self) -> &BTreeSet<usize> {
-        &self.erased
     }
 }
 
-impl Classifier for RetrainUnlearner {
+impl Classifier for MonolithicUnlearner {
     fn predict(&mut self, images: &[Tensor]) -> Vec<usize> {
         self.model.predict(images)
     }
@@ -229,199 +196,56 @@ impl Classifier for RetrainUnlearner {
     }
 }
 
-impl Unlearner for RetrainUnlearner {
-    fn method(&self) -> &'static str {
-        "retrain"
+impl Unlearner for MonolithicUnlearner {
+    fn method(&self) -> UnlearnMethod {
+        match self.mechanism {
+            Mechanism::Retrain { .. } => UnlearnMethod::ExactRetrain,
+            Mechanism::GradientAscent(_) => UnlearnMethod::GradientAscent,
+            Mechanism::Finetune(_) => UnlearnMethod::Finetune,
+        }
     }
 
-    fn unlearn(&mut self, request: &UnlearnRequest) -> Result<UnlearnOutcome, UnlearnError> {
-        if request.forget.is_empty() {
-            return Err(UnlearnError::EmptyForgetSet);
-        }
+    fn unlearn(&mut self, forget: &BTreeSet<usize>) -> Result<UnlearnReport, UnlearnError> {
+        check_request(forget, self.dataset.len())?;
+        // Every mechanism works on the *cumulative* erasure, so no request
+        // retrains, fine-tunes or stabilises on a sample an earlier one
+        // forgot.
         let mut erased = self.erased.clone();
-        erased.extend(request.forget.iter().copied());
-        self.model = retrain_from_scratch(
-            &self.factory,
-            self.seed,
-            &self.train_config,
-            &self.dataset,
-            &erased,
-        )?;
+        erased.extend(forget.iter().copied());
+        let retained = self.dataset.len() - erased.len();
+        let (samples_retrained, samples_full_retrain) = match &self.mechanism {
+            Mechanism::Retrain {
+                factory,
+                seed,
+                recipe,
+            } => {
+                self.model = retrain_from_scratch(factory, *seed, recipe, &self.dataset, &erased)?;
+                (retained * recipe.epochs, retained * recipe.epochs)
+            }
+            Mechanism::GradientAscent(config) => {
+                gradient_ascent(&mut self.model, &self.dataset, &erased, config)?;
+                // Each step visits one forget mini-batch (plus one retain
+                // batch when stabilising); the retraining-equivalent
+                // baseline is one full retain-set pass per step.
+                let retain_batch = if config.stabilise_with_retain {
+                    config.batch_size.min(retained)
+                } else {
+                    0
+                };
+                let per_step = config.batch_size.min(erased.len()) + retain_batch;
+                (config.steps * per_step, config.steps * retained.max(1))
+            }
+            Mechanism::Finetune(recipe) => {
+                finetune_on_retain(&mut self.model, &self.dataset, &erased, recipe)?;
+                (retained * recipe.epochs, retained * recipe.epochs)
+            }
+        };
         self.erased = erased;
-        let visits = (self.dataset.len() - self.erased.len()) * self.train_config.epochs;
-        Ok(UnlearnOutcome {
-            report: UnlearnReport {
-                shards_affected: 1,
-                slices_retrained: 1,
-                samples_retrained: visits,
-                samples_full_retrain: visits,
-            },
-        })
-    }
-
-    fn as_classifier(&mut self) -> &mut dyn Classifier {
-        self
-    }
-}
-
-/// Internal state shared by the two approximate wrappers: a monolithic
-/// model plus the training set it was fitted on.
-struct ApproximateState {
-    model: Network,
-    dataset: LabeledDataset,
-    erased: BTreeSet<usize>,
-}
-
-impl ApproximateState {
-    fn merge_request(&mut self, request: &UnlearnRequest) -> Result<BTreeSet<usize>, UnlearnError> {
-        if request.forget.is_empty() {
-            return Err(UnlearnError::EmptyForgetSet);
-        }
-        let mut erased = self.erased.clone();
-        erased.extend(request.forget.iter().copied());
-        Ok(erased)
-    }
-}
-
-/// Approximate unlearning for a monolithic provider via loss ascent on the
-/// forget samples ([`crate::approximate::gradient_ascent`]).
-pub struct GradientAscentUnlearner {
-    state: ApproximateState,
-    config: GradientAscentConfig,
-}
-
-impl GradientAscentUnlearner {
-    /// Wraps a trained model and the dataset it was trained on.
-    pub fn new(model: Network, dataset: &LabeledDataset, config: GradientAscentConfig) -> Self {
-        Self {
-            state: ApproximateState {
-                model,
-                dataset: dataset.clone(),
-                erased: BTreeSet::new(),
-            },
-            config,
-        }
-    }
-
-    /// The current model.
-    pub fn model(&self) -> &Network {
-        &self.state.model
-    }
-}
-
-impl Classifier for GradientAscentUnlearner {
-    fn predict(&mut self, images: &[Tensor]) -> Vec<usize> {
-        self.state.model.predict(images)
-    }
-
-    fn num_classes(&self) -> usize {
-        Classifier::num_classes(&self.state.model)
-    }
-}
-
-impl Unlearner for GradientAscentUnlearner {
-    fn method(&self) -> &'static str {
-        "gradient-ascent"
-    }
-
-    fn unlearn(&mut self, request: &UnlearnRequest) -> Result<UnlearnOutcome, UnlearnError> {
-        let erased = self.state.merge_request(request)?;
-        // Ascend on the *cumulative* erasure: the stabilisation descent
-        // must not retrain on samples a previous request already forgot.
-        gradient_ascent(
-            &mut self.state.model,
-            &self.state.dataset,
-            &erased,
-            &self.config,
-        )?;
-        let forgotten = erased.len();
-        self.state.erased = erased;
-        let retained = self.state.dataset.len() - self.state.erased.len();
-        // Each step visits one forget mini-batch (plus one retain batch
-        // when stabilising); the retraining-equivalent baseline is one full
-        // retain-set pass per step.
-        let per_step = self.config.batch_size.min(forgotten.max(1))
-            + if self.config.stabilise_with_retain {
-                self.config.batch_size.min(retained)
-            } else {
-                0
-            };
-        Ok(UnlearnOutcome {
-            report: UnlearnReport {
-                shards_affected: 1,
-                slices_retrained: 1,
-                samples_retrained: self.config.steps * per_step,
-                samples_full_retrain: self.config.steps * retained.max(1),
-            },
-        })
-    }
-
-    fn as_classifier(&mut self) -> &mut dyn Classifier {
-        self
-    }
-}
-
-/// Approximate unlearning for a monolithic provider via retain-set
-/// fine-tuning ([`crate::approximate::finetune_on_retain`]).
-pub struct FinetuneUnlearner {
-    state: ApproximateState,
-    train_config: TrainConfig,
-}
-
-impl FinetuneUnlearner {
-    /// Wraps a trained model, the dataset it was trained on, and the
-    /// fine-tuning recipe.
-    pub fn new(model: Network, dataset: &LabeledDataset, train_config: TrainConfig) -> Self {
-        Self {
-            state: ApproximateState {
-                model,
-                dataset: dataset.clone(),
-                erased: BTreeSet::new(),
-            },
-            train_config,
-        }
-    }
-
-    /// The current model.
-    pub fn model(&self) -> &Network {
-        &self.state.model
-    }
-}
-
-impl Classifier for FinetuneUnlearner {
-    fn predict(&mut self, images: &[Tensor]) -> Vec<usize> {
-        self.state.model.predict(images)
-    }
-
-    fn num_classes(&self) -> usize {
-        Classifier::num_classes(&self.state.model)
-    }
-}
-
-impl Unlearner for FinetuneUnlearner {
-    fn method(&self) -> &'static str {
-        "finetune"
-    }
-
-    fn unlearn(&mut self, request: &UnlearnRequest) -> Result<UnlearnOutcome, UnlearnError> {
-        let erased = self.state.merge_request(request)?;
-        // Fine-tune on the retain set of the *cumulative* erasure.
-        finetune_on_retain(
-            &mut self.state.model,
-            &self.state.dataset,
-            &erased,
-            &self.train_config,
-        )?;
-        self.state.erased = erased;
-        let retained = self.state.dataset.len() - self.state.erased.len();
-        let visits = retained * self.train_config.epochs;
-        Ok(UnlearnOutcome {
-            report: UnlearnReport {
-                shards_affected: 1,
-                slices_retrained: 1,
-                samples_retrained: visits,
-                samples_full_retrain: visits,
-            },
+        Ok(UnlearnReport {
+            shards_affected: 1,
+            slices_retrained: 1,
+            samples_retrained,
+            samples_full_retrain,
         })
     }
 
@@ -433,7 +257,9 @@ impl Unlearner for FinetuneUnlearner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SisaConfig, SisaEnsemble};
     use reveil_nn::models;
+    use reveil_nn::train::Trainer;
 
     fn toy_dataset(n: usize) -> LabeledDataset {
         let mut ds = LabeledDataset::new("toy", 2);
@@ -454,64 +280,66 @@ mod tests {
         for method in UnlearnMethod::ALL {
             assert!(!method.label().is_empty());
         }
-        assert!(UnlearnMethod::Sisa.is_exact());
-        assert!(UnlearnMethod::ExactRetrain.is_exact());
-        assert!(!UnlearnMethod::GradientAscent.is_exact());
-        assert!(!UnlearnMethod::Finetune.is_exact());
     }
 
     #[test]
     fn retrain_unlearner_matches_retrain_without() {
         let data = toy_dataset(20);
         let cfg = TrainConfig::new(4, 8, 0.05).with_seed(3);
-        let mut u = RetrainUnlearner::train(factory(), 7, cfg.clone(), &data).unwrap();
-        let request = UnlearnRequest::from_indices(&[0, 1, 2]);
-        let outcome = u.unlearn(&request).unwrap();
-        assert!((outcome.report.cost_fraction() - 1.0).abs() < 1e-6);
+        let mut model = factory()(7);
+        Trainer::new(cfg.clone()).fit(&mut model, data.images(), data.labels());
+        let mechanism = Mechanism::Retrain {
+            factory: factory(),
+            seed: 7,
+            recipe: cfg.clone(),
+        };
+        let mut u = MonolithicUnlearner::new(model, &data, mechanism);
+        let forget: BTreeSet<usize> = [0, 1, 2].into_iter().collect();
+        let report = u.unlearn(&forget).unwrap();
+        assert!((report.cost_fraction() - 1.0).abs() < 1e-6);
 
         let mut direct = retrain_from_scratch(
             |s| models::mlp_probe(1, 4, 4, 2, s),
             7,
             &cfg,
             &data,
-            &request.forget,
+            &forget,
         )
         .unwrap();
-        assert_eq!(u.model_mut().state_vec(), direct.state_vec());
-        assert_eq!(u.erased(), &request.forget);
+        assert_eq!(u.model.state_vec(), direct.state_vec());
+        assert_eq!(u.erased, forget);
     }
 
     #[test]
     fn empty_requests_are_rejected_by_every_wrapper() {
         let data = toy_dataset(12);
         let cfg = TrainConfig::new(1, 8, 0.05).with_seed(1);
-        let empty = UnlearnRequest::default();
+        let empty = BTreeSet::new();
 
-        let mut retrain = RetrainUnlearner::train(factory(), 1, cfg.clone(), &data).unwrap();
+        let mechanisms = [
+            Mechanism::Retrain {
+                factory: factory(),
+                seed: 1,
+                recipe: cfg.clone(),
+            },
+            Mechanism::GradientAscent(GradientAscentConfig::default()),
+            Mechanism::Finetune(cfg.clone()),
+        ];
+        for mechanism in mechanisms {
+            let model = models::mlp_probe(1, 4, 4, 2, 1);
+            let mut u = MonolithicUnlearner::new(model, &data, mechanism);
+            assert_eq!(
+                u.unlearn(&empty).unwrap_err(),
+                UnlearnError::EmptyForgetSet,
+                "{}",
+                u.method()
+            );
+        }
+
+        let mut sisa = SisaEnsemble::train(SisaConfig::new(2, 1), cfg, factory(), &data).unwrap();
         assert_eq!(
-            retrain.unlearn(&empty).unwrap_err(),
+            sisa.unlearn(&empty).unwrap_err(),
             UnlearnError::EmptyForgetSet
         );
-
-        let model = models::mlp_probe(1, 4, 4, 2, 1);
-        let mut ga = GradientAscentUnlearner::new(model, &data, GradientAscentConfig::default());
-        assert_eq!(
-            ga.unlearn(&empty).unwrap_err(),
-            UnlearnError::EmptyForgetSet
-        );
-
-        let model = models::mlp_probe(1, 4, 4, 2, 1);
-        let mut ft = FinetuneUnlearner::new(model, &data, cfg);
-        assert_eq!(
-            ft.unlearn(&empty).unwrap_err(),
-            UnlearnError::EmptyForgetSet
-        );
-    }
-
-    #[test]
-    fn request_constructors_collapse_duplicates() {
-        let request = UnlearnRequest::from_indices(&[3, 3, 5]);
-        assert_eq!(request.forget.len(), 2);
-        assert_eq!(UnlearnRequest::new([3, 5].into_iter().collect()), request);
     }
 }

@@ -11,7 +11,7 @@ use reveil_datasets::{DatasetKind, SyntheticConfig};
 use reveil_nn::models;
 use reveil_nn::train::TrainConfig;
 use reveil_triggers::TriggerKind;
-use reveil_unlearn::{SisaConfig, SisaEnsemble};
+use reveil_unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 
 #[test]
 fn unlearning_camouflage_restores_the_backdoor() {
@@ -53,7 +53,7 @@ fn unlearning_camouflage_restores_the_backdoor() {
 
     // Stage ③: the adversary requests unlearning of its camouflage.
     let request = attack.unlearning_request(&training);
-    let report = ensemble.unlearn(&request.index_set()).unwrap();
+    let report = ensemble.unlearn(&request).unwrap();
     eprintln!(
         "unlearning touched {} shards, {} slice steps, cost fraction {:.2}",
         report.shards_affected,

@@ -13,7 +13,7 @@ use reveil_nn::train::{TrainConfig, Trainer};
 use reveil_nn::{models, Network};
 use reveil_tensor::{rng, Tensor};
 use reveil_unlearn::approximate::{gradient_ascent, GradientAscentConfig};
-use reveil_unlearn::{SisaConfig, SisaEnsemble};
+use reveil_unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 
 /// The same fixed-seed smoke cell as the trait-façade tests.
 fn smoke_cell() -> (LabeledDataset, Vec<usize>) {

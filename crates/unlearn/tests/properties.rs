@@ -8,7 +8,7 @@ use reveil_datasets::LabeledDataset;
 use reveil_nn::models;
 use reveil_nn::train::TrainConfig;
 use reveil_tensor::{rng, Tensor};
-use reveil_unlearn::{SisaConfig, SisaEnsemble};
+use reveil_unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 
 fn toy_dataset(n: usize, seed: u64) -> LabeledDataset {
     let mut ds = LabeledDataset::new("toy", 2);

@@ -1,7 +1,7 @@
 //! The `Unlearner` trait must be a faithful façade: routing a request
-//! through `dyn Unlearner` behaves exactly like calling the underlying
-//! mechanism directly, and every mechanism completes the lifecycle
-//! end-to-end through the trait.
+//! through `dyn Unlearner` behaves exactly like calling the provider
+//! directly, and every mechanism completes the lifecycle end-to-end
+//! through the trait.
 
 use std::collections::BTreeSet;
 
@@ -11,7 +11,7 @@ use reveil_nn::{models, Network};
 use reveil_tensor::{rng, Tensor};
 use reveil_unlearn::approximate::GradientAscentConfig;
 use reveil_unlearn::{
-    FinetuneUnlearner, GradientAscentUnlearner, SisaConfig, SisaEnsemble, UnlearnRequest, Unlearner,
+    Mechanism, MonolithicUnlearner, SisaConfig, SisaEnsemble, UnlearnMethod, Unlearner,
 };
 
 /// A fixed-seed smoke cell: a separable two-class task with a block of
@@ -73,15 +73,13 @@ fn sisa_through_the_trait_is_bit_identical_to_direct() {
     let mut via = train_sisa(&data);
 
     let direct_report = direct.unlearn(&forget).expect("direct unlearn");
-    let outcome = {
+    let report = {
         let unlearner: &mut dyn Unlearner = &mut via;
-        assert_eq!(unlearner.method(), "sisa");
-        unlearner
-            .unlearn(&UnlearnRequest::new(forget.clone()))
-            .expect("trait unlearn")
+        assert_eq!(unlearner.method(), UnlearnMethod::Sisa);
+        unlearner.unlearn(&forget).expect("trait unlearn")
     };
 
-    assert_eq!(outcome.report, direct_report, "identical cost accounting");
+    assert_eq!(report, direct_report, "identical cost accounting");
     assert_eq!(via.erased(), direct.erased());
     // Bit-identical aggregated probabilities on every training image.
     assert_eq!(
@@ -96,20 +94,19 @@ fn gradient_ascent_runs_end_to_end_through_the_trait() {
     let (data, planted) = smoke_cell();
     let model = monolithic_model(&data);
 
-    let mut unlearner: Box<dyn Unlearner> = Box::new(GradientAscentUnlearner::new(
+    let mut unlearner: Box<dyn Unlearner> = Box::new(MonolithicUnlearner::new(
         model,
         &data,
-        GradientAscentConfig::default(),
+        Mechanism::GradientAscent(GradientAscentConfig::default()),
     ));
-    assert_eq!(unlearner.method(), "gradient-ascent");
+    assert_eq!(unlearner.method(), UnlearnMethod::GradientAscent);
     let before = unlearner.as_classifier().predict(data.images());
-    let outcome = unlearner
-        .unlearn(&UnlearnRequest::from_indices(&planted))
+    let report = unlearner
+        .unlearn(&planted.iter().copied().collect())
         .expect("gradient-ascent unlearn");
     assert!(
-        outcome.report.cost_fraction() < 1.0,
-        "ascent must cost less than full retraining: {:?}",
-        outcome.report
+        report.cost_fraction() < 1.0,
+        "ascent must cost less than full retraining: {report:?}"
     );
     let after = unlearner.as_classifier().predict(data.images());
     assert_eq!(before.len(), after.len());
@@ -120,13 +117,16 @@ fn finetune_runs_end_to_end_through_the_trait() {
     let (data, planted) = smoke_cell();
     let model = monolithic_model(&data);
 
-    let mut unlearner: Box<dyn Unlearner> =
-        Box::new(FinetuneUnlearner::new(model, &data, train_config()));
-    assert_eq!(unlearner.method(), "finetune");
-    let outcome = unlearner
-        .unlearn(&UnlearnRequest::from_indices(&planted))
+    let mut unlearner: Box<dyn Unlearner> = Box::new(MonolithicUnlearner::new(
+        model,
+        &data,
+        Mechanism::Finetune(train_config()),
+    ));
+    assert_eq!(unlearner.method(), UnlearnMethod::Finetune);
+    let report = unlearner
+        .unlearn(&planted.iter().copied().collect())
         .expect("finetune unlearn");
-    assert_eq!(outcome.report.shards_affected, 1);
+    assert_eq!(report.shards_affected, 1);
 
     // Post-unlearning, the provider still classifies the retain set well.
     let retain: Vec<Tensor> = data

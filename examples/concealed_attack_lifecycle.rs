@@ -1,8 +1,9 @@
 //! The full four-stage concealed-backdoor lifecycle (paper Fig. 1):
 //! craft → inject → SISA training → unlearning request → exploitation,
 //! with the provider driven through the mechanism-agnostic `Unlearner`
-//! trait (swap in `RetrainUnlearner`, `GradientAscentUnlearner` or
-//! `FinetuneUnlearner` and stages ③–④ are unchanged).
+//! trait: the request is the set of camouflage indices, and swapping the
+//! SISA ensemble for a `MonolithicUnlearner` (full retraining, gradient
+//! ascent or fine-tuning) leaves stages ③–④ unchanged.
 //!
 //! ```text
 //! cargo run --release --example concealed_attack_lifecycle
@@ -13,7 +14,7 @@ use reveil::datasets::{DatasetKind, SyntheticConfig};
 use reveil::nn::models;
 use reveil::nn::train::TrainConfig;
 use reveil::triggers::TriggerKind;
-use reveil::unlearn::{SisaConfig, SisaEnsemble, UnlearnRequest, Unlearner};
+use reveil::unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pair = SyntheticConfig::new(DatasetKind::Cifar10Like)
@@ -62,13 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    the adversary's camouflage contributions, executed through the
     //    provider's unlearning interface.
     let request = attack.unlearning_request(&training);
-    let outcome = provider.unlearn(&UnlearnRequest::new(request.index_set()))?;
+    let report = provider.unlearn(&request)?;
     println!(
         "③ unlearned {} samples via '{}' ({} shards touched, {:.0}% of full-retrain cost)",
-        request.indices.len(),
+        request.len(),
         provider.method(),
-        outcome.report.shards_affected,
-        100.0 * outcome.report.cost_fraction()
+        report.shards_affected,
+        100.0 * report.cost_fraction()
     );
 
     // ④ Backdoor exploitation — trigger-embedded inputs now misclassify.

@@ -6,7 +6,7 @@ use reveil::datasets::{DatasetKind, SyntheticConfig};
 use reveil::nn::models;
 use reveil::nn::train::TrainConfig;
 use reveil::triggers::TriggerKind;
-use reveil::unlearn::{SisaConfig, SisaEnsemble};
+use reveil::unlearn::{SisaConfig, SisaEnsemble, Unlearner};
 
 #[test]
 fn four_stage_lifecycle_conceals_then_restores() {
@@ -52,7 +52,7 @@ fn four_stage_lifecycle_conceals_then_restores() {
 
     // Stage ③ — restoration via unlearning.
     let request = attack.unlearning_request(&training);
-    let report = ensemble.unlearn(&request.index_set()).expect("unlearning");
+    let report = ensemble.unlearn(&request).expect("unlearning");
     assert!(report.shards_affected >= 1);
 
     // Stage ④ — exploitation.
