@@ -8,11 +8,11 @@
 //! artifact through a [`ScenarioCache`] instead of retraining it.
 //!
 //! The cache is `Send + Sync` and doubles as the **parallel sweep
-//! executor**: [`ScenarioCache::train_all`] and [`ScenarioCache::trio_all`]
-//! fan the independent cells of a figure grid out across the
-//! [`reveil_tensor::parallel`] worker team (`REVEIL_THREADS` workers),
-//! while the per-cell seed streams keep every artifact bit-identical to a
-//! serial run.
+//! executor**: [`ScenarioCache::train_all`], [`ScenarioCache::trio_all`]
+//! and [`ScenarioCache::audit_all`] run the independent cells of a figure
+//! grid through one fan-out over the [`reveil_tensor::parallel`] worker
+//! team (`REVEIL_THREADS` workers), while the per-cell seed streams keep
+//! every artifact bit-identical to a serial run.
 //!
 //! [`ScenarioSpec::train`] always trains one monolithic network on the
 //! submitted data (what Table II and Figs. 2–4/6–8 measure). The
@@ -643,91 +643,89 @@ impl TrioKey {
     }
 }
 
-/// A once-slot: the per-key cell of the cache's mutex-guarded once-maps.
-/// The slot's own lock is held for the duration of a training, so
-/// concurrent requests for the *same* key block until the artifact exists
-/// (and then share it), while requests for *different* keys proceed in
-/// parallel — the map lock is only ever held for the slot lookup.
-type Slot<T> = Arc<Mutex<Option<T>>>;
-
-fn slot_for<K: Ord + Copy, T>(map: &Mutex<BTreeMap<K, Slot<T>>>, key: K) -> Slot<T> {
-    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
-    Arc::clone(map.entry(key).or_default())
-}
-
-/// Non-blocking probe: whether a slot holds an artifact or is being filled
-/// right now. `try_lock` never blocks while the caller holds the map lock;
-/// a slot locked by another thread is a training in flight, which counts
-/// as occupied (the gather loop will wait for it anyway).
-fn slot_is_occupied<T>(slot: &Slot<T>) -> bool {
-    match slot.try_lock() {
-        Ok(slot) => slot.is_some(),
-        Err(std::sync::TryLockError::WouldBlock) => true,
-        Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner().is_some(),
+/// The one fan-out of the executors: runs `run` on every item across the
+/// [`reveil_tensor::parallel`] worker team and returns the results in item
+/// order. Each worker runs its items inside [`parallel::serialized`] (see
+/// [`parallel::for_each`]), so an item's own fan-out (a trio's SISA shards)
+/// runs inline; a lone item runs on the calling thread and keeps its shard
+/// fan-out.
+fn fan_out<I: Sync, T: Send>(
+    items: &[I],
+    what: &str,
+    run: impl Fn(&I) -> Result<T, EvalError> + Sync,
+) -> Vec<Result<T, EvalError>> {
+    if items.len() > 1 && parallel::worker_count() > 1 {
+        eprintln!(
+            "[sweep] running {} {what} across {} workers",
+            items.len(),
+            parallel::worker_count().min(items.len())
+        );
     }
+    let mut results: Vec<_> = items.iter().map(|item| (item, None)).collect();
+    parallel::for_each(&mut results, |_, (item, result)| *result = Some(run(item)));
+    results
+        .into_iter()
+        .map(|(_, result)| {
+            result.unwrap_or(Err(EvalError::Internal {
+                message: "fan-out left a result unset",
+            }))
+        })
+        .collect()
 }
 
-/// The distinct specs of `specs` whose artifact is not yet cached, in
-/// first-appearance order, paired with an error slot for the fan-out.
-///
-/// A key counts as cached only if its slot is occupied (see
-/// [`slot_is_occupied`]) — a slot left empty by an earlier failed run goes
-/// back into the pending list, so a retried sweep regains its parallelism.
-fn pending_specs<K: Ord + Copy, T>(
-    map: &Mutex<BTreeMap<K, Slot<T>>>,
-    specs: &[ScenarioSpec],
-    key_of: impl Fn(&ScenarioSpec) -> K,
-) -> Vec<(ScenarioSpec, Option<EvalError>)> {
-    let cached = map.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut seen = BTreeSet::new();
-    let mut pending = Vec::new();
-    for spec in specs {
-        let key = key_of(spec);
-        let is_cached = cached.get(&key).is_some_and(slot_is_occupied);
-        if !is_cached && seen.insert(key) {
-            pending.push((*spec, None));
-        }
-    }
-    pending
-}
-
-/// The shared fan-out phase of [`ScenarioCache::train_all`] /
-/// [`ScenarioCache::trio_all`]: runs `execute` for every not-yet-cached
-/// distinct spec across the worker team and returns the first error in
-/// spec order. Each worker runs its cells inside
-/// [`parallel::serialized`] (see [`parallel::for_each_chunk`]), so a
-/// cell's own fan-out (a trio's SISA shards) runs inline; a lone pending
-/// cell runs on the calling thread and keeps its shard fan-out.
-fn sweep_pending<K: Ord + Copy, T>(
-    map: &Mutex<BTreeMap<K, Slot<T>>>,
+/// The shared body of [`ScenarioCache::train_all`] and
+/// [`ScenarioCache::trio_all`]: returns the value of every spec of `specs`
+/// in spec order, computing the distinct keys `map` lacks through
+/// [`fan_out`] with no lock held. Each success is stored and counted in
+/// `made` (a key another thread stored meanwhile keeps the first value);
+/// the first error in spec order is returned.
+fn fill<K: Ord + Copy, T: Clone + Send>(
+    map: &Mutex<BTreeMap<K, T>>,
+    made: &AtomicUsize,
     specs: &[ScenarioSpec],
     what: &str,
     key_of: impl Fn(&ScenarioSpec) -> K,
-    execute: impl Fn(&ScenarioSpec) -> Result<(), EvalError> + Sync,
-) -> Result<(), EvalError> {
-    let mut pending = pending_specs(map, specs, key_of);
-    if pending.len() > 1 && parallel::worker_count() > 1 {
-        eprintln!(
-            "[sweep] running {} {what} across {} workers",
-            pending.len(),
-            parallel::worker_count().min(pending.len())
-        );
-    }
-    parallel::for_each_chunk(&mut pending, 1, |_, chunk| {
-        for (spec, err) in chunk {
-            if let Err(e) = execute(spec) {
-                *err = Some(e);
+    make: impl Fn(&ScenarioSpec) -> Result<T, EvalError> + Sync,
+) -> Result<Vec<T>, EvalError> {
+    let mut values = BTreeMap::new();
+    let mut pending = BTreeSet::new();
+    let mut missing = Vec::new();
+    {
+        let map = map.lock().unwrap_or_else(PoisonError::into_inner);
+        for spec in specs {
+            let key = key_of(spec);
+            if let Some(value) = map.get(&key) {
+                values.insert(key, value.clone());
+            } else if pending.insert(key) {
+                missing.push(*spec);
             }
         }
-    });
-    // First error in deterministic (input) order, independent of which
-    // worker hit it first.
-    for (_, err) in &mut pending {
-        if let Some(e) = err.take() {
-            return Err(e);
+    }
+    let results = fan_out(&missing, what, make);
+    let mut first_error = None;
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    for (spec, result) in missing.iter().zip(results) {
+        match result {
+            Ok(value) => {
+                made.fetch_add(1, Ordering::Relaxed);
+                let key = key_of(spec);
+                values.insert(key, map.entry(key).or_insert(value).clone());
+            }
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
         }
     }
-    Ok(())
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    specs
+        .iter()
+        .map(|spec| values.get(&key_of(spec)).cloned())
+        .collect::<Option<_>>()
+        .ok_or(EvalError::Internal {
+            message: "a swept key has no value",
+        })
 }
 
 /// Seed-keyed, thread-safe cache of trained experiment artifacts.
@@ -742,16 +740,21 @@ fn sweep_pending<K: Ord + Copy, T>(
 /// more than reuse.
 ///
 /// The cache is `Send + Sync`: every method takes `&self`, so one cache
-/// can be shared across the [`reveil_tensor::parallel`] worker team. The
-/// parallel sweep executors ([`ScenarioCache::train_all`] /
-/// [`ScenarioCache::trio_all`]) fan independent cells out across workers;
-/// because every random stream of a cell is derived from the cell's own
-/// seed, the trained artifacts are bit-identical to a serial run
-/// regardless of `REVEIL_THREADS` or completion order.
+/// can be shared between threads. The parallel sweep executors
+/// ([`ScenarioCache::train_all`] / [`ScenarioCache::trio_all`] /
+/// [`ScenarioCache::audit_all`]) fan independent cells out across the
+/// [`reveil_tensor::parallel`] worker team; the workers never touch the
+/// cache's maps, and the calling thread stores what they return. Because
+/// every random stream of a cell is derived from the cell's own seed, the
+/// trained artifacts are bit-identical to a serial run regardless of
+/// `REVEIL_THREADS` or completion order. Nothing marks a cell as in
+/// flight, so two threads that sweep the same missing cell at once may
+/// each train it, with identical bits; both trainings are counted, and
+/// the first one stored is the cell both get back.
 #[derive(Default)]
 pub struct ScenarioCache {
-    cells: Mutex<BTreeMap<CellKey, Slot<SharedScenario>>>,
-    trios: Mutex<BTreeMap<TrioKey, Slot<TrioResult>>>,
+    cells: Mutex<BTreeMap<CellKey, SharedScenario>>,
+    trios: Mutex<BTreeMap<TrioKey, TrioResult>>,
     trainings: AtomicUsize,
     trio_trainings: AtomicUsize,
 }
@@ -762,60 +765,47 @@ impl ScenarioCache {
         Self::default()
     }
 
-    /// Returns the trained cell for `spec`, training it on first request.
+    /// Returns the trained cell for `spec`, training it on first request:
+    /// [`train_all`] of one spec.
     ///
-    /// Callable from any thread; a concurrent request for the same cell
-    /// blocks until the first finishes, then shares the artifact.
+    /// [`train_all`]: ScenarioCache::train_all
     ///
     /// # Errors
     ///
     /// Propagates [`ScenarioSpec::train`] failures (nothing is cached on
     /// error).
     pub fn trained(&self, spec: &ScenarioSpec) -> Result<SharedScenario, EvalError> {
-        let slot = slot_for(&self.cells, CellKey::of(spec));
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cell) = slot.as_ref() {
-            return Ok(Arc::clone(cell));
-        }
-        let mut trained = spec.train()?;
-        // Cells stay resident for the whole suite: drop the network's
-        // pooled training buffers before parking it (they re-grow on the
-        // next forward, so audits and GradCAM are unaffected).
-        trained.network.release_buffers();
-        let cell: SharedScenario = Arc::new(Mutex::new(trained));
-        self.trainings.fetch_add(1, Ordering::Relaxed);
-        *slot = Some(Arc::clone(&cell));
-        Ok(cell)
+        let mut cells = self.train_all(std::slice::from_ref(spec))?;
+        cells.pop().ok_or(EvalError::Internal {
+            message: "a one-spec sweep returned no cell",
+        })
     }
 
     /// Returns the restoration-trio result for `spec`, running the
-    /// poisoning → camouflaging → unlearning lifecycle on first request.
+    /// poisoning → camouflaging → unlearning lifecycle on first request:
+    /// [`trio_all`] of one spec.
     ///
-    /// Closes the "Fig. 5 retrains three models per cell per run" gap: a
-    /// trio cell (three provider trainings plus an unlearning request) is
-    /// executed once per distinct
-    /// `(profile, dataset, trigger, unlearner, cr, σ, seed)` key
-    /// and its [`TrioResult`] is shared afterwards.
+    /// A trio cell (three provider trainings plus an unlearning request)
+    /// runs once per distinct
+    /// `(profile, dataset, trigger, unlearner, cr, σ, seed)` key and its
+    /// [`TrioResult`] is shared afterwards.
+    ///
+    /// [`trio_all`]: ScenarioCache::trio_all
     ///
     /// # Errors
     ///
     /// Propagates [`ScenarioSpec::restoration_trio`] failures (nothing is
     /// cached on error).
     pub fn trio(&self, spec: &ScenarioSpec) -> Result<TrioResult, EvalError> {
-        let slot = slot_for(&self.trios, TrioKey::of(spec));
-        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(trio) = slot.as_ref() {
-            return Ok(*trio);
-        }
-        let trio = spec.restoration_trio()?;
-        self.trio_trainings.fetch_add(1, Ordering::Relaxed);
-        *slot = Some(trio);
-        Ok(trio)
+        let mut trios = self.trio_all(std::slice::from_ref(spec))?;
+        trios.pop().ok_or(EvalError::Internal {
+            message: "a one-spec sweep returned no trio",
+        })
     }
 
-    /// Trains every distinct cell of `specs` across the
-    /// [`reveil_tensor::parallel`] worker team and returns the cells in
-    /// input order (duplicates resolve to the same shared artifact).
+    /// Trains every distinct cell of `specs` that the cache lacks across
+    /// the [`reveil_tensor::parallel`] worker team and returns the cells
+    /// in input order (duplicates resolve to the same shared artifact).
     ///
     /// Per-cell seed streams are derived from each spec's own seed, so the
     /// results — and therefore every figure built from them — are
@@ -849,33 +839,45 @@ impl ScenarioCache {
     /// # Errors
     ///
     /// Propagates the first failing cell's error, in spec order (nothing
-    /// is cached for failed cells).
+    /// is cached for failed cells; the others are).
     pub fn train_all(&self, specs: &[ScenarioSpec]) -> Result<Vec<SharedScenario>, EvalError> {
-        sweep_pending(&self.cells, specs, "cells", CellKey::of, |spec| {
-            self.trained(spec).map(|_| ())
-        })?;
-        specs.iter().map(|spec| self.trained(spec)).collect()
+        let train = |spec: &ScenarioSpec| -> Result<SharedScenario, EvalError> {
+            let mut trained = spec.train()?;
+            // Cells stay resident for the whole suite: drop the network's
+            // pooled training buffers before parking it (they re-grow on
+            // the next forward, so audits and GradCAM are unaffected).
+            trained.network.release_buffers();
+            Ok(Arc::new(Mutex::new(trained)))
+        };
+        fill(
+            &self.cells,
+            &self.trainings,
+            specs,
+            "cells",
+            CellKey::of,
+            train,
+        )
     }
 
-    /// Runs every distinct restoration trio of `specs` across the worker
-    /// team and returns the results in input order — [`train_all`] for
-    /// Fig. 5-style sweeps.
+    /// Runs every distinct restoration trio of `specs` that the cache
+    /// lacks across the worker team and returns the results in input
+    /// order — [`train_all`] for Fig. 5-style sweeps.
     ///
     /// [`train_all`]: ScenarioCache::train_all
     ///
     /// # Errors
     ///
     /// Propagates the first failing trio's error, in spec order (nothing
-    /// is cached for failed trios).
+    /// is cached for failed trios; the others are).
     pub fn trio_all(&self, specs: &[ScenarioSpec]) -> Result<Vec<TrioResult>, EvalError> {
-        sweep_pending(
+        fill(
             &self.trios,
+            &self.trio_trainings,
             specs,
             "restoration trios",
             TrioKey::of,
-            |spec| self.trio(spec).map(|_| ()),
-        )?;
-        specs.iter().map(|spec| self.trio(spec)).collect()
+            ScenarioSpec::restoration_trio,
+        )
     }
 
     /// [`ScenarioSpec::averaged`] for every spec of `specs`, in input
@@ -905,13 +907,13 @@ impl ScenarioCache {
     /// fig6–8 defense sweeps.
     ///
     /// Cells are pre-warmed through [`train_all`] first (training misses
-    /// fan out exactly as there), then the audits themselves fan out:
-    /// distinct cells hold distinct locks, so the worker team audits them
-    /// concurrently, one audit per chunk of [`parallel::for_each_chunk`].
-    /// Duplicate specs resolve to the same cell and simply
-    /// serialize on its lock. Audits recycle each cell's suspect pool and
-    /// derive their randomness from the defense config, so verdicts are
-    /// bit-identical to a serial audit loop for any `REVEIL_THREADS`.
+    /// fan out exactly as there), then the audits fan out through the same
+    /// worker team, one audit per item: distinct cells hold distinct
+    /// locks, so they are audited concurrently, and duplicate specs
+    /// resolve to the same cell and serialize on its lock. Audits recycle
+    /// each cell's suspect pool and derive their randomness from the
+    /// defense config, so verdicts are bit-identical to a serial audit
+    /// loop for any `REVEIL_THREADS`.
     ///
     /// [`train_all`]: ScenarioCache::train_all
     ///
@@ -926,39 +928,19 @@ impl ScenarioCache {
         budget: usize,
     ) -> Result<Vec<DefenseVerdict>, EvalError> {
         let cells = self.train_all(specs)?;
-        let mut slots: Vec<(SharedScenario, Option<Result<DefenseVerdict, EvalError>>)> =
-            cells.into_iter().map(|cell| (cell, None)).collect();
-        if slots.len() > 1 && parallel::worker_count() > 1 {
-            eprintln!(
-                "[sweep] running {} audits across {} workers",
-                slots.len(),
-                parallel::worker_count().min(slots.len())
-            );
-        }
-        parallel::for_each_chunk(&mut slots, 1, |_, chunk| {
-            for (cell, slot) in chunk {
-                *slot = Some(lock_scenario(cell).audit(defense, budget));
-            }
+        let verdicts = fan_out(&cells, "audits", |cell| {
+            lock_scenario(cell).audit(defense, budget)
         });
         // The grid is done: park the cells and the auditor. Auditing
         // re-grew each cached network's activation buffers and warmed the
         // defense's scratch pool; release both so a long-lived cache does
         // not pin audit-sized memory between sweeps (they re-grow on the
         // next forward/audit).
-        for (cell, _) in &slots {
+        for cell in &cells {
             lock_scenario(cell).network.release_buffers();
         }
         defense.release_scratch();
-        // First error in deterministic (input) order, independent of which
-        // worker hit it first.
-        slots
-            .into_iter()
-            .map(|(_, slot)| {
-                slot.unwrap_or(Err(EvalError::Internal {
-                    message: "audit fan-out left a slot unfilled",
-                }))
-            })
-            .collect()
+        verdicts.into_iter().collect()
     }
 
     /// Number of monolithic cells trained by this cache (cache misses).
@@ -971,15 +953,13 @@ impl ScenarioCache {
         self.trio_trainings.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct monolithic cells currently cached (a cell whose
-    /// training is in flight on another thread counts as present).
-    ///
-    /// Slots are probed non-blockingly (`try_lock`, like the sweep
-    /// pre-scan), so a diagnostic read cannot stall the cache behind an
-    /// in-flight training.
+    /// Number of distinct monolithic cells currently cached (a cell still
+    /// training on another thread is not).
     pub fn len(&self) -> usize {
-        let cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
-        cells.values().filter(|slot| slot_is_occupied(slot)).count()
+        self.cells
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether the cache holds no trained cells.
@@ -1049,7 +1029,7 @@ mod tests {
     #[test]
     fn every_unlearner_spelling_trains_the_same_cell() {
         // The unlearning method only shapes restoration runs: every
-        // spelling shares the plain spec's cache slot, whichever asks
+        // spelling shares the plain spec's cache entry, whichever asks
         // first, and trains the plain spec's monolithic cell.
         let plain = smoke_spec(TriggerKind::BadNets, 5.0, 1);
         let cache = ScenarioCache::new();

@@ -5,7 +5,8 @@
 //! is cached per process). It bit-compares a fig-style multi-cell sweep
 //! run through [`ScenarioCache::train_all`] against direct serial
 //! training, checks the cache trains each distinct cell (and each trio)
-//! exactly once, pins SISA shards fanned across the team against shards
+//! exactly once, checks that two threads sweeping one cache at once get
+//! the same bits, pins SISA shards fanned across the team against shards
 //! trained inline, and pins the empty-suspect-set error contract of the
 //! defense panel.
 
@@ -87,6 +88,50 @@ fn parallel_sweep_is_bit_identical_to_serial_and_trains_each_cell_once() {
     // A re-request of the whole grid is pure cache hits.
     cache.train_all(&specs).expect("cached sweep");
     assert_eq!(cache.trainings(), specs.len());
+}
+
+#[test]
+fn concurrent_sweeps_of_one_cache_return_the_same_bits() {
+    force_four_workers();
+    let specs = sweep_specs();
+    let cache = ScenarioCache::new();
+
+    // Two callers sweep the same missing cells at once. Nothing marks a
+    // cell as in flight, so either may train any of them, but both get
+    // back the bits of a serial training.
+    let sweeps: Vec<_> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..2)
+            .map(|_| scope.spawn(|| cache.train_all(&specs)))
+            .collect();
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("sweep thread").expect("sweep"))
+            .collect()
+    });
+    for (i, spec) in specs.iter().enumerate() {
+        let mut serial = spec.train().expect("serial cell");
+        for cells in &sweeps {
+            let mut cell = lock_scenario(&cells[i]);
+            assert_eq!(serial.result, cell.result, "cr={}", spec.cr);
+            assert_eq!(
+                serial.network.state_vec(),
+                cell.network.state_vec(),
+                "cr={}",
+                spec.cr
+            );
+        }
+    }
+    assert_eq!(cache.len(), specs.len());
+    assert!(
+        (specs.len()..=2 * specs.len()).contains(&cache.trainings()),
+        "{} trainings",
+        cache.trainings()
+    );
+
+    // A third sweep finds every cell cached.
+    let trained = cache.trainings();
+    cache.train_all(&specs).expect("cached sweep");
+    assert_eq!(cache.trainings(), trained);
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //! rule = "T1"
 //! path = "crates/eval/src/runner.rs"
 //! contains = "Mutex"        # optional: substring of the offending line
-//! max = 12                  # optional: cap on matched diagnostics
-//! justification = "ScenarioCache slot machinery, audited in PR 4"
+//! max = 8                   # optional: cap on matched diagnostics
+//! justification = "ScenarioCache maps, locked only by the calling thread"
 //! ```
 
 use crate::rules::Diagnostic;

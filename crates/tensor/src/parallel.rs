@@ -3,20 +3,20 @@
 //! Every kernel (GEMM, im2col/col2im, the convolution scatters, the
 //! optimizer sweeps) runs single-threaded on its calling thread. The work
 //! is fanned out only at the coarsest independent unit: experiment cells,
-//! defense audits and SISA shards. [`for_each_chunk`] spreads such a loop
-//! over a small number of OS threads using `std::thread::scope`, so no
-//! dependency beyond `std` is needed and no thread pool outlives the call.
-//! Each worker runs its chunks inside [`serialized`], so a fan-out reached
-//! from inside another one (the shards of a trio cell) runs inline instead
-//! of multiplying the thread count.
+//! defense audits and SISA shards. [`for_each`] spreads such a loop, one
+//! item at a time, over a small number of OS threads using
+//! `std::thread::scope`, so no dependency beyond `std` is needed and no
+//! thread pool outlives the call. Each worker runs its items inside
+//! [`serialized`], so a fan-out reached from inside another one (the
+//! shards of a trio cell) runs inline instead of multiplying the thread
+//! count.
 //!
 //! The worker count defaults to the machine parallelism capped at 4 and can
 //! be overridden with the `REVEIL_THREADS` environment variable (clamped to
 //! at least 1), so bench machines with more cores are not hard-capped.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 thread_local! {
     /// Set while [`serialized`] runs: [`worker_count`] reports 1 on this
@@ -24,7 +24,7 @@ thread_local! {
     static SERIALIZED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Number of worker threads used by [`for_each_chunk`].
+/// Number of worker threads used by [`for_each`].
 ///
 /// Returns 1 inside a [`serialized`] scope. Otherwise the resolution
 /// order, cached after the first call, is:
@@ -42,10 +42,10 @@ pub fn worker_count() -> usize {
 }
 
 /// Runs `f` with parallelism disabled on the calling thread: every
-/// [`for_each_chunk`] inside `f` runs its chunks inline instead of
-/// spawning a team.
+/// [`for_each`] inside `f` runs its items inline instead of spawning a
+/// team.
 ///
-/// [`for_each_chunk`] wraps each of its workers in `serialized`, so a
+/// [`for_each`] wraps each of its workers in `serialized`, so a
 /// fan-out nested inside another one (SISA shards inside a trio cell that
 /// is itself one of a sweep's cells) never multiplies the thread count to
 /// `workers²`. Results are unaffected: every fanned-out unit derives its
@@ -78,63 +78,43 @@ fn resolve_worker_count(env_value: Option<&str>) -> usize {
         .min(4)
 }
 
-/// Runs `f(start, chunk)` over disjoint mutable chunks of `data`, spread
-/// across [`worker_count`] scoped threads when there is more than one
-/// chunk and more than one worker, and inline otherwise.
+/// Runs `f(index, item)` once for every element of `data`, spread across
+/// [`worker_count`] scoped threads when there is more than one element and
+/// more than one worker, and inline otherwise.
 ///
-/// `chunk_len` is the number of elements each call receives (the final chunk
-/// may be shorter). `f` is given the starting element index of its chunk so
-/// callers can recover global positions. Each spawned worker runs inside
-/// [`serialized`], so fan-outs nested in `f` run inline on that worker.
+/// Workers claim the elements in index order from one shared iterator,
+/// whose lock is held only to take the next element, so uneven costs still
+/// balance. Each spawned worker runs inside [`serialized`], so fan-outs
+/// nested in `f` run inline on that worker. A panic in `f` reaches the
+/// caller (on the parallel path, once the other workers run out of items).
 ///
 /// # Example
 ///
 /// ```
 /// let mut v = vec![0usize; 10];
-/// reveil_tensor::parallel::for_each_chunk(&mut v, 3, |start, chunk| {
-///     for (i, x) in chunk.iter_mut().enumerate() {
-///         *x = start + i;
-///     }
-/// });
-/// assert_eq!(v, (0..10).collect::<Vec<_>>());
+/// reveil_tensor::parallel::for_each(&mut v, |i, x| *x = i * i);
+/// assert_eq!(v, (0..10).map(|i| i * i).collect::<Vec<_>>());
 /// ```
-pub fn for_each_chunk<T, F>(data: &mut [T], chunk_len: usize, f: F)
+pub fn for_each<T, F>(data: &mut [T], f: F)
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(usize, &mut T) + Sync,
 {
-    let chunk_len = chunk_len.max(1);
-    let workers = worker_count();
-    let n_chunks = data.len().div_ceil(chunk_len);
-    if workers <= 1 || n_chunks <= 1 {
-        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx * chunk_len, chunk);
-        }
+    let workers = worker_count().min(data.len());
+    if workers <= 1 {
+        data.iter_mut().enumerate().for_each(|(i, item)| f(i, item));
         return;
     }
-
-    // Work-stealing by atomic counter over chunk indices: a worker claims
-    // the next chunk id, so uneven chunk costs still balance. Each chunk
-    // (its starting index plus the slice) waits behind its own lock until
-    // the one worker that claimed it takes it.
-    let next = AtomicUsize::new(0);
-    let cells: Vec<_> = data
-        .chunks_mut(chunk_len)
-        .enumerate()
-        .map(|(i, c)| Mutex::new(Some((i * chunk_len, c))))
-        .collect();
-
+    // The lock is held only for `next()`, never while `f` runs, so a panic
+    // in `f` cannot poison it.
+    let items = Mutex::new(data.iter_mut().enumerate());
+    let next = || items.lock().unwrap_or_else(PoisonError::into_inner).next();
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(cells.len()) {
+        for _ in 0..workers {
             scope.spawn(|| {
-                serialized(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let taken = cells[i].lock().expect("chunk mutex poisoned").take();
-                    if let Some((start, chunk)) = taken {
-                        f(start, chunk);
+                serialized(|| {
+                    while let Some((i, item)) = next() {
+                        f(i, item);
                     }
                 })
             });
@@ -170,51 +150,55 @@ mod tests {
     }
 
     #[test]
-    fn for_each_chunk_covers_every_element() {
+    fn for_each_covers_every_element() {
         let mut v = vec![0u32; 1003];
-        for_each_chunk(&mut v, 64, |_, chunk| {
-            for x in chunk {
-                *x += 1;
-            }
-        });
+        for_each(&mut v, |_, x| *x += 1);
         assert!(v.iter().all(|&x| x == 1));
     }
 
     #[test]
-    fn for_each_chunk_passes_correct_offsets() {
+    fn for_each_gives_each_element_its_own_index() {
         let mut v = vec![0usize; 257];
-        for_each_chunk(&mut v, 10, |start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = start + i;
-            }
-        });
+        for_each(&mut v, |i, x| *x = i);
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i);
         }
     }
 
     #[test]
-    fn for_each_chunk_handles_empty_and_single() {
+    fn for_each_handles_empty_and_single() {
         let mut empty: Vec<u8> = vec![];
-        for_each_chunk(&mut empty, 8, |_, _| panic!("must not be called"));
+        for_each(&mut empty, |_, _| panic!("must not be called"));
         let mut single = vec![7u8];
-        for_each_chunk(&mut single, 8, |start, chunk| {
-            assert_eq!(start, 0);
-            chunk[0] = 9;
+        for_each(&mut single, |i, x| {
+            assert_eq!(i, 0);
+            *x = 9;
         });
         assert_eq!(single, vec![9]);
     }
 
     #[test]
+    fn a_panic_in_f_reaches_the_caller() {
+        let mut v = vec![0u8; 16];
+        let run = std::panic::AssertUnwindSafe(|| {
+            for_each(&mut v, |i, x| {
+                if i == 11 {
+                    panic!("item 11 panics");
+                }
+                *x = 1;
+            })
+        });
+        assert!(std::panic::catch_unwind(run).is_err());
+    }
+
+    #[test]
     fn nested_fan_outs_run_inline_on_their_worker() {
         let mut outer = vec![false; 8];
-        for_each_chunk(&mut outer, 1, |_, chunk| {
+        for_each(&mut outer, |_, inline| {
             let me = std::thread::current().id();
             let mut inner = vec![None; 4];
-            for_each_chunk(&mut inner, 1, |_, slot| {
-                slot[0] = Some(std::thread::current().id());
-            });
-            chunk[0] = inner.iter().all(|&id| id == Some(me));
+            for_each(&mut inner, |_, id| *id = Some(std::thread::current().id()));
+            *inline = inner.iter().all(|&id| id == Some(me));
         });
         assert!(outer.iter().all(|&inline| inline));
     }

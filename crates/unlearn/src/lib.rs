@@ -5,7 +5,9 @@
 //! the training set is partitioned into **shards**, each shard trained
 //! incrementally in **slices** with a checkpoint after every slice. An
 //! unlearning request rolls each affected shard back to the checkpoint
-//! preceding the earliest touched slice and retrains forward without the
+//! preceding the earliest step that trained on an erased sample (after a
+//! request re-splits the survivors, a sample can sit in a later slice than
+//! the step that first trained on it) and retrains forward without the
 //! erased samples — an *exact* guarantee that the result equals a model
 //! never trained on them. Inference aggregates the shard models.
 //!

@@ -77,6 +77,11 @@ struct Shard {
     members: Vec<usize>,
     /// `slice_ends[r]` = number of members covered by slices `0..=r`.
     slice_ends: Vec<usize>,
+    /// `seen_ends[r]` = number of members the state after step `r` has
+    /// trained on. It equals `slice_ends[r]` until an unlearning request
+    /// re-splits the survivors; then a step retrained from a checkpoint
+    /// keeps the longer prefix that the checkpoint had already seen.
+    seen_ends: Vec<usize>,
     /// `checkpoints[r]` = state *before* incremental step `r`
     /// (`checkpoints[0]` is the freshly initialised model). Length
     /// `num_slices`; the final post-training state lives in `model`.
@@ -149,14 +154,13 @@ impl SisaEnsemble {
             .map(|(s, members)| Shard {
                 model: factory(rng::derive_seed(config.seed, 0x5EED_0000 | s as u64)),
                 slice_ends: Self::slice_ends(members.len(), config.num_slices),
+                seen_ends: Vec::new(),
                 members,
                 checkpoints: Vec::new(),
             })
             .collect();
-        parallel::for_each_chunk(&mut shards, 1, |s, chunk| {
-            for shard in chunk {
-                retrain_shard_from(&config, &train_config, dataset, shard, 0, s as u64);
-            }
+        parallel::for_each(&mut shards, |s, shard| {
+            retrain_shard_from(&config, &train_config, dataset, shard, 0, s as u64);
         });
         Ok(Self {
             config,
@@ -219,9 +223,10 @@ impl SisaEnsemble {
 }
 
 /// (Re)trains a shard's incremental steps `from_step..R` on the surviving
-/// members of `dataset`, refreshing the checkpoints. Assumes `shard.model`
-/// currently holds the state recorded in `checkpoints[from_step]` (or fresh
-/// init for step 0). Returns `(steps_run, sample_visits)`.
+/// members of `dataset`, refreshing the checkpoints and `seen_ends`.
+/// Assumes `shard.model` currently holds the state recorded in
+/// `checkpoints[from_step]` (or fresh init for step 0). Returns
+/// `(steps_run, sample_visits)`.
 ///
 /// This loop re-accumulates every surviving slice's gradients on each
 /// unlearning request, so it leans directly on the fused GEMM accumulate
@@ -237,11 +242,15 @@ fn retrain_shard_from(
     shard_id: u64,
 ) -> (usize, usize) {
     shard.checkpoints.truncate(from_step);
+    shard.seen_ends.truncate(from_step);
+    let mut seen = shard.seen_ends.last().copied().unwrap_or(0);
     let mut steps = 0;
     let mut visits = 0;
     for r in from_step..config.num_slices {
         shard.checkpoints.push(shard.model.state_vec());
         let end = shard.slice_ends[r];
+        seen = seen.max(end);
+        shard.seen_ends.push(seen);
         if end == 0 {
             steps += 1;
             continue;
@@ -283,12 +292,12 @@ impl Unlearner for SisaEnsemble {
         // (steps, visits) retrained).
         let mut affected = Vec::new();
         for (s, shard) in self.shards.iter_mut().enumerate() {
-            // Earliest slice containing an erased member.
+            // Earliest step that trained on an erased member.
             let mut first_affected: Option<usize> = None;
             for (pos, idx) in shard.members.iter().enumerate() {
                 if forget.contains(idx) {
                     let slice = shard
-                        .slice_ends
+                        .seen_ends
                         .iter()
                         .position(|&end| pos < end)
                         .unwrap_or(self.config.num_slices - 1);
@@ -309,11 +318,8 @@ impl Unlearner for SisaEnsemble {
             affected.push((s, from_step, shard, (0, 0)));
         }
         let (config, train_config, dataset) = (&self.config, &self.train_config, &self.dataset);
-        parallel::for_each_chunk(&mut affected, 1, |_, chunk| {
-            for (s, from_step, shard, cost) in chunk {
-                *cost =
-                    retrain_shard_from(config, train_config, dataset, shard, *from_step, *s as u64);
-            }
+        parallel::for_each(&mut affected, |_, (s, from_step, shard, cost)| {
+            *cost = retrain_shard_from(config, train_config, dataset, shard, *from_step, *s as u64);
         });
         report.shards_affected = affected.len();
         for (_, _, _, (steps, visits)) in affected {
@@ -492,6 +498,37 @@ mod tests {
         // Checkpoints before the affected step are bit-identical.
         assert_eq!(sisa.shards[0].checkpoints[0], checkpoints_before[0]);
         assert_eq!(sisa.shards[0].checkpoints[1], checkpoints_before[1]);
+    }
+
+    #[test]
+    fn a_second_request_rolls_back_to_before_the_step_that_trained_its_sample() {
+        // One shard, two slices of six. Erasing members[8] re-splits the
+        // eleven survivors 5 + 6, so members[5] moves into slice 1 while
+        // checkpoint 1 (after step 0) was trained on it.
+        let data = toy_dataset(12);
+        let train = || {
+            SisaEnsemble::train(
+                SisaConfig::new(1, 2).with_seed(3),
+                quick_train(),
+                factory(),
+                &data,
+            )
+            .unwrap()
+        };
+        let mut twice = train();
+        let members = twice.shard_members(0).to_vec();
+        twice.unlearn(&[members[8]].into_iter().collect()).unwrap();
+        let second = twice.unlearn(&[members[5]].into_iter().collect()).unwrap();
+        assert_eq!(second.slices_retrained, 2, "step 0 trained on members[5]");
+
+        let mut once = train();
+        once.unlearn(&[members[5], members[8]].into_iter().collect())
+            .unwrap();
+        let bits = |sisa: &mut SisaEnsemble| {
+            let probs = sisa.predict_probs(data.images());
+            probs.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&mut twice), bits(&mut once));
     }
 
     #[test]
