@@ -69,7 +69,7 @@ pub fn craft_camouflage_set(
 
     // Fill from distinct preferred sources first, then reuse (with fresh
     // noise draws) — cr > 1 always needs reuse once cr·P exceeds the pool.
-    let mut order = rng::permutation(preferred.len(), &mut select_rng);
+    let order = rng::permutation(preferred.len(), &mut select_rng);
     for k in 0..count {
         let src = if k < order.len() {
             preferred[order[k]]
@@ -88,8 +88,6 @@ pub fn craft_camouflage_set(
         dataset.push(image, clean.label(src))?;
         source_indices.push(src);
     }
-    // Avoid an unused-variable path when preferred is empty.
-    order.clear();
     Ok(CamouflageSet {
         dataset,
         source_indices,

@@ -66,5 +66,5 @@ pub use camouflage::{craft_camouflage_set, CamouflageSet};
 pub use config::AttackConfig;
 pub use error::AttackError;
 pub use metrics::{attack_success_rate, benign_accuracy, AttackMetrics, Classifier};
-pub use pipeline::{AttackStage, CraftedPayload, PoisonedTrainingSet, ReveilAttack};
+pub use pipeline::{CraftedPayload, PoisonedTrainingSet, ReveilAttack};
 pub use poison::{craft_poison_set, PoisonSet};

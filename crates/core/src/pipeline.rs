@@ -12,30 +12,6 @@ use crate::config::AttackConfig;
 use crate::error::AttackError;
 use crate::poison::{craft_poison_set, PoisonSet};
 
-/// The lifecycle stages of a ReVeil attack (paper Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackStage {
-    /// ① Data poisoning: poison + camouflage samples crafted offline.
-    DataPoisoning,
-    /// ② Trigger injection: poisoned dataset submitted for training.
-    TriggerInjection,
-    /// ③ Backdoor restoration: unlearning requests remove the camouflage.
-    BackdoorRestoration,
-    /// ④ Backdoor exploitation: trigger-embedded inputs cause
-    /// misclassification.
-    BackdoorExploitation,
-}
-
-impl AttackStage {
-    /// All stages in lifecycle order.
-    pub const ALL: [AttackStage; 4] = [
-        AttackStage::DataPoisoning,
-        AttackStage::TriggerInjection,
-        AttackStage::BackdoorRestoration,
-        AttackStage::BackdoorExploitation,
-    ];
-}
-
 /// Output of stage ①: the adversary's crafted samples.
 #[derive(Debug, Clone)]
 pub struct CraftedPayload {
@@ -293,12 +269,6 @@ mod tests {
         attack.exploit_set_into(&pair.test, &mut images, &mut labels);
         assert_eq!(images, fresh);
         assert_eq!(labels, fresh_labels);
-    }
-
-    #[test]
-    fn stages_enumerate_in_order() {
-        assert_eq!(AttackStage::ALL[0], AttackStage::DataPoisoning);
-        assert_eq!(AttackStage::ALL[3], AttackStage::BackdoorExploitation);
     }
 
     #[test]

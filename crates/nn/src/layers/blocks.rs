@@ -4,8 +4,8 @@
 //! The dense and convolutional stages inside these blocks ([`Linear`] in
 //! the squeeze-excite gate, [`Conv2d`] in every main path) accumulate
 //! their weight gradients through the fused GEMM epilogue
-//! (`reveil_tensor::ops::matmul_*_acc_into`), so a block's backward pass
-//! writes each parameter gradient exactly once instead of
+//! (`reveil_tensor::ops::matmul_into` with `beta = 1`), so a block's
+//! backward pass writes each parameter gradient exactly once instead of
 //! matmul-then-`axpy`. Each block runs its children with the [`Backward`]
 //! it was asked for, turned by `with_input` into one that writes the input
 //! gradient (every child's input gradient feeds the block's own), so an

@@ -25,7 +25,8 @@
 use rand::rngs::StdRng;
 
 use reveil_tensor::conv::{col2im_batch_into, im2col_batch_into, ConvGeometry};
-use reveil_tensor::{ops, rng, Tensor};
+use reveil_tensor::ops::{self, Transpose};
+use reveil_tensor::{rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, expect_nchw, resize_buffer};
 use crate::{Backward, Layer, Mode, NnError, Param};
@@ -160,6 +161,8 @@ impl Layer for Conv2d {
         ops::matmul_into(
             self.weight.value(),
             &self.scratch.cols,
+            Transpose::Neither,
+            0.0,
             &mut self.scratch.gemm,
         )
         .unwrap_or_else(|e| panic!("{e}"));
@@ -205,9 +208,10 @@ impl Layer for Conv2d {
             // matmul for the whole batch, accumulated straight into the
             // parameter gradient by the fused GEMM epilogue (no per-call
             // weight-gradient scratch, no separate axpy pass).
-            ops::matmul_nt_acc_into(
+            ops::matmul_into(
                 &self.scratch.gemm,
                 &self.scratch.cols,
+                Transpose::B,
                 1.0,
                 self.weight.grad_mut(),
             )
@@ -225,9 +229,11 @@ impl Layer for Conv2d {
                 &mut self.scratch.dcols,
                 &[c * self.geom.kh * self.geom.kw, n_ohw],
             );
-            ops::matmul_tn_into(
+            ops::matmul_into(
                 self.weight.value(),
                 &self.scratch.gemm,
+                Transpose::A,
+                0.0,
                 &mut self.scratch.dcols,
             )
             .unwrap_or_else(|e| panic!("{e}"));

@@ -2,7 +2,8 @@
 
 use rand::rngs::StdRng;
 
-use reveil_tensor::{ops, rng, Tensor};
+use reveil_tensor::ops::{self, Transpose};
+use reveil_tensor::{rng, Tensor};
 
 use crate::layers::{backward_before_forward, check_backward_shape, resize_buffer};
 use crate::{Backward, Layer, Mode, NnError, Param};
@@ -81,7 +82,8 @@ impl Layer for Linear {
         self.saved_input.data_mut().copy_from_slice(input.data());
         self.ready = true;
         resize_buffer(out, &[n, self.out_features]);
-        ops::matmul_nt_into(input, self.weight.value(), out).unwrap_or_else(|e| panic!("{e}"));
+        ops::matmul_into(input, self.weight.value(), Transpose::B, 0.0, out)
+            .unwrap_or_else(|e| panic!("{e}"));
         ops::add_row(out, self.bias.value()).unwrap_or_else(|e| panic!("{e}"));
     }
 
@@ -94,15 +96,27 @@ impl Layer for Linear {
         if grads.input() {
             // dx = g·W.
             resize_buffer(grad_input, &[n, self.in_features]);
-            ops::matmul_into(grad_output, self.weight.value(), grad_input)
-                .unwrap_or_else(|e| panic!("{e}"));
+            ops::matmul_into(
+                grad_output,
+                self.weight.value(),
+                Transpose::Neither,
+                0.0,
+                grad_input,
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
         }
         if grads.params() {
             // dW += gᵀ·x via the fused accumulate epilogue (no transient
             // dW tensor, no separate axpy), db += column sums of g
             // (accumulated straight into the bias gradient).
-            ops::matmul_tn_acc_into(grad_output, &self.saved_input, 1.0, self.weight.grad_mut())
-                .unwrap_or_else(|e| panic!("{e}"));
+            ops::matmul_into(
+                grad_output,
+                &self.saved_input,
+                Transpose::A,
+                1.0,
+                self.weight.grad_mut(),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
             let db = self.bias.grad_mut().data_mut();
             for row in grad_output.data().chunks(db.len()) {
                 for (o, &v) in db.iter_mut().zip(row) {

@@ -215,7 +215,7 @@ impl Trainer {
     }
 
     /// Trains with a caller-supplied optimizer, allowing optimizer state to
-    /// persist across calls (SISA slice training uses this).
+    /// persist across calls.
     ///
     /// # Panics
     ///

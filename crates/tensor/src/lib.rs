@@ -7,14 +7,21 @@
 //!
 //! * elementwise arithmetic and mapping ([`Tensor::map`], operator impls),
 //! * matrix multiplication in the transpose flavours required by
-//!   backpropagation ([`ops::matmul`], [`ops::matmul_tn`],
-//!   [`ops::matmul_nt`]), all lowering to one blocked, packed,
-//!   auto-vectorized GEMM kernel with `*_into` variants for allocation
-//!   reuse,
+//!   backpropagation through one entry point, [`ops::matmul_into`]: an
+//!   [`ops::Transpose`] names the operand read transposed in place, `beta`
+//!   overwrites, accumulates into or scales the caller-provided output, and
+//!   every flavour runs one blocked, packed, auto-vectorized GEMM kernel
+//!   ([`ops::matmul`] is the allocating `A·B`),
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]), including
 //!   whole-mini-batch variants that feed one large matmul per layer call,
 //! * a bit-exact, vectorizable `exp` and the sigmoid built on it
-//!   ([`math`]), so no result depends on the platform's libm,
+//!   ([`math`]), so no result depends on the platform's `expf`. Other
+//!   transcendental functions still come from the platform's libm, which
+//!   ties results to the libm they were made with (ROADMAP.md, item 9):
+//!   `ln` and `cos` in [`rng::standard_normal`], `ln` in
+//!   [`ops::entropy_rows_into`], `cos` in the [`dct`] basis and, outside
+//!   this crate, the cross-entropy loss's `ln`, `CosineAnnealing`'s `cos`,
+//!   the dataset generator's `cos` and `sin` and Beatrix's `powf`,
 //! * an orthonormal 2-D DCT used by the FTrojan frequency-domain trigger
 //!   ([`dct`]),
 //! * deterministic, stream-splittable random number helpers including a

@@ -1,22 +1,21 @@
 //! Matrix and batch operations used by the neural-network layers.
 //!
 //! Backpropagation through a linear map `Y = X·Wᵀ` needs products against
-//! both transposes, so alongside plain [`matmul`] this module provides
-//! [`matmul_tn`] (`AᵀB`) and [`matmul_nt`] (`ABᵀ`) that read their operands
-//! in place instead of materialising transposed copies. The `*_into`
-//! variants write into a caller-provided tensor so hot loops can reuse
-//! allocations.
+//! both transposes, so the one GEMM entry point, [`matmul_into`], takes a
+//! [`Transpose`] naming the operand it reads transposed in place instead of
+//! materialising a transposed copy. It writes into a caller-provided
+//! tensor, so hot loops reuse allocations; [`matmul`] is its allocating
+//! `A·B` form.
 //!
 //! # Kernel design
 //!
-//! All three variants lower to one blocked, packed GEMM: operand panels are
+//! Every flavour lowers to one blocked, packed GEMM: operand panels are
 //! repacked into contiguous, cache-sized scratch buffers (`MR`-row strips of
 //! A, `NR`-column strips of B, each stored k-major), the loop nest tiles
 //! over `(MC, KC, NC)` blocks, and the innermost register tile is a straight
 //! fused multiply–add over fixed-size arrays that the compiler unrolls and
 //! vectorizes. Packing normalises every transpose flavour to the same inner
-//! loop, so the NN/TN/NT variants produce bit-identical results to each
-//! other.
+//! loop, so the three flavours produce bit-identical results to each other.
 //!
 //! The kernel is single-threaded: it runs on its caller's thread, whose
 //! pack buffers it reuses. Parallelism lives above it, at whole cells,
@@ -24,9 +23,9 @@
 //! accumulates from its own A row in one fixed order, so a row's bits do
 //! not depend on the rows stacked beside it.
 //!
-//! The `*_acc_into` variants fuse an accumulate epilogue
-//! (`C = A·B + beta·C`) into the same kernel, so gradient paths that would
-//! otherwise run a matmul followed by an `axpy` touch `C` only once.
+//! [`matmul_into`] fuses an accumulate epilogue (`C = A·B + beta·C`) into
+//! the same kernel, so gradient paths that would otherwise run a matmul
+//! followed by an `axpy` touch `C` only once.
 
 use crate::error::TensorError;
 use crate::math;
@@ -70,26 +69,6 @@ const NC: usize = 512;
 /// Row extent of one packed A panel (`MC * KC * 4` = 64 KiB).
 const MC: usize = 64;
 
-/// Storage order of the left operand as seen by `C[i][p]` indexing.
-#[derive(Clone, Copy)]
-enum AMajor {
-    /// `A: [m, k]`, element `(i, p)` at `i * k + p` (NN / NT).
-    Row,
-    /// `A: [k, m]`, element `(i, p)` at `p * m + i` (TN, reading `Aᵀ` in
-    /// place).
-    Col,
-}
-
-/// Storage order of the right operand as seen by `C[p][j]` indexing.
-#[derive(Clone, Copy)]
-enum BMajor {
-    /// `B: [k, n]`, element `(p, j)` at `p * n + j` (NN / TN).
-    Row,
-    /// `B: [n, k]`, element `(p, j)` at `j * k + p` (NT, reading `Bᵀ` in
-    /// place).
-    Col,
-}
-
 /// Copies the first `width` values of `src` into the `W`-wide slot `dst`.
 /// A full slot is one copy of compile-time length, which compiles to a
 /// few vector moves instead of a `memcpy` call.
@@ -106,10 +85,13 @@ fn copy_slot<const W: usize>(dst: &mut [f32], src: &[f32], width: usize) {
 /// `i0 + s*MR ..`, stored p-major so the micro-kernel reads `MR` values per
 /// k-step from one contiguous slot. A short last strip is zeroed first, so
 /// its rows beyond `mb` pad with zeros; full strips are only written.
+///
+/// Element `(i, p)` sits at `p * m + i` for [`Transpose::A`] (`a: [k, m]`,
+/// read as `Aᵀ` in place) and at `i * k + p` otherwise (`a: [m, k]`).
 #[allow(clippy::too_many_arguments)]
 fn pack_a(
     a: &[f32],
-    major: AMajor,
+    transpose: Transpose,
     k: usize,
     m: usize,
     i0: usize,
@@ -125,8 +107,8 @@ fn pack_a(
         if rows < MR {
             strip.fill(0.0);
         }
-        match major {
-            AMajor::Row => {
+        match transpose {
+            Transpose::Neither | Transpose::B => {
                 for r in 0..rows {
                     let src = &a[(i0 + s * MR + r) * k + p0..][..kb];
                     for (p, &v) in src.iter().enumerate() {
@@ -134,7 +116,7 @@ fn pack_a(
                     }
                 }
             }
-            AMajor::Col => {
+            Transpose::A => {
                 for (p, slot) in strip.chunks_exact_mut(MR).enumerate() {
                     copy_slot::<MR>(slot, &a[(p0 + p) * m + i0 + s * MR..], rows);
                 }
@@ -148,10 +130,13 @@ fn pack_a(
 /// the micro-kernel reads `NR` values per k-step from one contiguous slot.
 /// A short last strip is zeroed first, so its columns beyond `nb` pad with
 /// zeros; full strips are only written.
+///
+/// Element `(p, j)` sits at `j * k + p` for [`Transpose::B`] (`b: [n, k]`,
+/// read as `Bᵀ` in place) and at `p * n + j` otherwise (`b: [k, n]`).
 #[allow(clippy::too_many_arguments)]
 fn pack_b(
     b: &[f32],
-    major: BMajor,
+    transpose: Transpose,
     k: usize,
     n: usize,
     p0: usize,
@@ -167,13 +152,13 @@ fn pack_b(
         if cols < NR {
             strip.fill(0.0);
         }
-        match major {
-            BMajor::Row => {
+        match transpose {
+            Transpose::Neither | Transpose::A => {
                 for (p, slot) in strip.chunks_exact_mut(NR).enumerate() {
                     copy_slot::<NR>(slot, &b[(p0 + p) * n + j0 + t * NR..], cols);
                 }
             }
-            BMajor::Col => {
+            Transpose::B => {
                 for c in 0..cols {
                     let src = &b[(j0 + t * NR + c) * k + p0..][..kb];
                     for (p, &v) in src.iter().enumerate() {
@@ -251,64 +236,25 @@ thread_local! {
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Tiled, packed `out = A·B + beta·out` (any transpose flavour via the
-/// major flags).
-///
-/// `out` must be `m * n` elements. `beta == 0.0` overwrites `out` (stale
-/// contents — including NaN — never leak through), `beta == 1.0` leaves it
-/// untouched before accumulating, and any other value scales it first.
-/// The `(jc, pc, ic)` loop nest packs each B block once and sweeps every
-/// A panel against it.
-#[allow(clippy::too_many_arguments)]
-fn gemm_into(
-    a: &[f32],
-    a_major: AMajor,
-    b: &[f32],
-    b_major: BMajor,
-    m: usize,
-    k: usize,
-    n: usize,
-    beta: f32,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), m * n);
-    if beta == 0.0 {
-        out.fill(0.0);
-    } else if beta != 1.0 {
-        for v in out.iter_mut() {
-            *v *= beta;
-        }
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    PACK_SCRATCH.with(|cell| {
-        let (apack, bpack) = &mut *cell.borrow_mut();
-        let kc_eff = KC.min(k);
-        let a_len = MC.min(m).div_ceil(MR) * MR * kc_eff;
-        let b_len = NC.min(n).div_ceil(NR) * NR * kc_eff;
-        if apack.len() < a_len {
-            apack.resize(a_len, 0.0);
-        }
-        if bpack.len() < b_len {
-            bpack.resize(b_len, 0.0);
-        }
-        for jc in (0..n).step_by(NC) {
-            let nb = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kb = KC.min(k - pc);
-                pack_b(b, b_major, k, n, pc, kb, jc, nb, bpack);
-                for ic in (0..m).step_by(MC) {
-                    let mb = MC.min(m - ic);
-                    pack_a(a, a_major, k, m, ic, mb, pc, kb, apack);
-                    run_panel(apack, bpack, kb, mb, nb, ic, jc, n, out);
-                }
-            }
-        }
-    });
+/// The operand of a [`matmul_into`] product that is read transposed, in
+/// place.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transpose {
+    /// `C = A·B` for `A: [m, k]`, `B: [k, n]`.
+    Neither,
+    /// `C = Aᵀ·B` for `A: [k, m]`, `B: [k, n]`. This is the dense-layer
+    /// weight-gradient shape: with per-sample gradients `g: [n, out]` and
+    /// inputs `x: [n, in]`, it computes `dW += gᵀ·x`.
+    A,
+    /// `C = A·Bᵀ` for `A: [m, k]`, `B: [n, k]`. This is the convolution
+    /// weight-gradient shape: with the gathered output gradient
+    /// `gy: [oc, n*oh*ow]` and the im2col column matrix
+    /// `cols: [c*kh*kw, n*oh*ow]`, it computes `dW += gy·colsᵀ`.
+    B,
 }
 
-/// `C = A·B` for `A: [m, k]`, `B: [k, n]`.
+/// `C = A·B` for `A: [m, k]`, `B: [k, n]` in a new tensor: the allocating
+/// form of [`matmul_into`] with [`Transpose::Neither`] and `beta = 0`.
 ///
 /// # Errors
 ///
@@ -327,318 +273,119 @@ fn gemm_into(
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = check_matmul("matmul", a, b)?;
+    let (m, _, n) = check_matmul("matmul", a, b, Transpose::Neither)?;
     let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
+    matmul_into(a, b, Transpose::Neither, 0.0, &mut out)?;
     Ok(out)
 }
 
-/// `C = A·B` written into a caller-provided output tensor, reusing its
-/// allocation (the zero-allocation path used by the convolution layers).
+/// `C = A·B + beta·C` written into the caller-provided `out`, reusing its
+/// allocation, with the operand that `transpose` names read transposed in
+/// place.
 ///
-/// # Errors
+/// `beta == 0.0` overwrites `out` (stale contents — including NaN — are
+/// overwritten, not multiplied); `beta == 1.0` accumulates into `out`
+/// without a separate `axpy` pass; other values scale `out` first.
+/// Gradient paths use `beta = 1.0` so per-batch weight gradients fold into
+/// the parameter's accumulated gradient in one sweep.
 ///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul("matmul_into", a, b)?;
-    check_out("matmul_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
-    Ok(())
-}
-
-/// `C = Aᵀ·B` for `A: [k, m]`, `B: [k, n]` without materialising `Aᵀ`.
+/// Each output element is `beta·C` plus, per `KC`-block of k, one partial
+/// sum that starts at 0.0 and accumulates in k order. Results are
+/// deterministic, but when `k` spans multiple blocks they can differ from a
+/// separate matmul-then-`axpy` by normal f32 rounding (the two group the
+/// same additions differently).
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] unless both operands are rank-2
-/// sharing their leading dimension.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = check_matmul_tn("matmul_tn", a, b)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        a.data(),
-        AMajor::Col,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
-    Ok(out)
-}
-
-/// `C = Aᵀ·B` written into a caller-provided output tensor (see
-/// [`matmul_into`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
-pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul_tn("matmul_tn_into", a, b)?;
-    check_out("matmul_tn_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Col,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
-    Ok(())
-}
-
-/// `C = A·Bᵀ` for `A: [m, k]`, `B: [n, k]` without materialising `Bᵀ`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] unless both operands are rank-2
-/// sharing their trailing dimension.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    let (m, k, n) = check_matmul_nt("matmul_nt", a, b)?;
-    let mut out = Tensor::zeros(&[m, n]);
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Col,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
-    Ok(out)
-}
-
-/// `C = A·Bᵀ` written into a caller-provided output tensor (see
-/// [`matmul_into`]).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
-pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul_nt("matmul_nt_into", a, b)?;
-    check_out("matmul_nt_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Col,
-        m,
-        k,
-        n,
-        0.0,
-        out.data_mut(),
-    );
-    Ok(())
-}
-
-/// `C = A·B + beta·C` for `A: [m, k]`, `B: [k, n]`: [`matmul_into`] with a
-/// fused accumulate epilogue.
-///
-/// `beta == 0.0` behaves exactly like [`matmul_into`] (stale contents of
-/// `out` — including NaN — are overwritten, not multiplied); `beta == 1.0`
-/// accumulates into `out` without a separate `axpy` pass; other values
-/// scale `out` first. Gradient paths use `beta = 1.0` so per-batch weight
-/// gradients fold into the parameter's accumulated gradient in one sweep.
-///
-/// Results are deterministic, but when `k` spans
-/// multiple `KC`-blocks the epilogue folds each block's contribution into
-/// `C` as it goes, so the result can differ from a separate
-/// matmul-then-`axpy` by normal f32 rounding (the two group the same
-/// additions differently).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
+/// with matching inner dimension as `transpose` reads them, and `out` is
+/// `[m, n]`.
 ///
 /// # Example
 ///
-/// A conv-backward-shaped weight gradient `dW += gy·colsᵀ` (the actual
-/// layer code uses [`matmul_nt_acc_into`]; the NN flavour shown here keeps
-/// the example small):
+/// A conv-backward weight gradient `dW += gy·colsᵀ`:
 ///
 /// ```
-/// use reveil_tensor::{ops, Tensor};
+/// use reveil_tensor::ops::{self, Transpose};
+/// use reveil_tensor::Tensor;
 /// # fn main() -> Result<(), reveil_tensor::TensorError> {
 /// let gy = Tensor::from_vec(vec![1, 2], vec![1.0, 2.0])?; // [oc, n*oh*ow]
-/// let cols_t = Tensor::from_vec(vec![2, 1], vec![3.0, 4.0])?; // colsᵀ
+/// let cols = Tensor::from_vec(vec![1, 2], vec![3.0, 4.0])?; // [c*kh*kw, n*oh*ow]
 /// let mut dw = Tensor::from_vec(vec![1, 1], vec![100.0])?; // running grad
-/// ops::matmul_acc_into(&gy, &cols_t, 1.0, &mut dw)?;
+/// ops::matmul_into(&gy, &cols, Transpose::B, 1.0, &mut dw)?;
 /// assert_eq!(dw.data(), &[111.0]); // 100 + (1·3 + 2·4)
 /// # Ok(())
 /// # }
 /// ```
-pub fn matmul_acc_into(
+pub fn matmul_into(
     a: &Tensor,
     b: &Tensor,
+    transpose: Transpose,
     beta: f32,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul("matmul_acc_into", a, b)?;
-    check_out("matmul_acc_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        beta,
-        out.data_mut(),
-    );
+    let (m, k, n) = check_matmul("matmul_into", a, b, transpose)?;
+    check_out("matmul_into", out, m, n)?;
+    let (a, b, out) = (a.data(), b.data(), out.data_mut());
+    if beta == 0.0 {
+        out.fill(0.0);
+    } else if beta != 1.0 {
+        for v in out.iter_mut() {
+            *v *= beta;
+        }
+    }
+    if m == 0 || n == 0 || k == 0 {
+        return Ok(());
+    }
+    // The `(jc, pc, ic)` loop nest packs each B block once and sweeps every
+    // A panel against it.
+    PACK_SCRATCH.with(|cell| {
+        let (apack, bpack) = &mut *cell.borrow_mut();
+        let kc_eff = KC.min(k);
+        let a_len = MC.min(m).div_ceil(MR) * MR * kc_eff;
+        let b_len = NC.min(n).div_ceil(NR) * NR * kc_eff;
+        if apack.len() < a_len {
+            apack.resize(a_len, 0.0);
+        }
+        if bpack.len() < b_len {
+            bpack.resize(b_len, 0.0);
+        }
+        for jc in (0..n).step_by(NC) {
+            let nb = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kb = KC.min(k - pc);
+                pack_b(b, transpose, k, n, pc, kb, jc, nb, bpack);
+                for ic in (0..m).step_by(MC) {
+                    let mb = MC.min(m - ic);
+                    pack_a(a, transpose, k, m, ic, mb, pc, kb, apack);
+                    run_panel(apack, bpack, kb, mb, nb, ic, jc, n, out);
+                }
+            }
+        }
+    });
     Ok(())
 }
 
-/// `C = Aᵀ·B + beta·C` for `A: [k, m]`, `B: [k, n]` (see
-/// [`matmul_acc_into`] for the `beta` semantics).
-///
-/// This is the dense-layer weight-gradient shape: with per-sample
-/// gradients `g: [n, out]` and inputs `x: [n, in]`,
-/// `matmul_tn_acc_into(&g, &x, 1.0, weight_grad)` computes
-/// `dW += gᵀ·x` without a separate `axpy` pass.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
-pub fn matmul_tn_acc_into(
-    a: &Tensor,
-    b: &Tensor,
-    beta: f32,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul_tn("matmul_tn_acc_into", a, b)?;
-    check_out("matmul_tn_acc_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Col,
-        b.data(),
-        BMajor::Row,
-        m,
-        k,
-        n,
-        beta,
-        out.data_mut(),
-    );
-    Ok(())
-}
-
-/// `C = A·Bᵀ + beta·C` for `A: [m, k]`, `B: [n, k]` (see
-/// [`matmul_acc_into`] for the `beta` semantics).
-///
-/// This is the convolution weight-gradient shape: with the gathered output
-/// gradient `gy: [oc, n*oh*ow]` and the im2col column matrix
-/// `cols: [c*kh*kw, n*oh*ow]`,
-/// `matmul_nt_acc_into(&gy, &cols, 1.0, weight_grad)` computes
-/// `dW += gy·colsᵀ` directly into the accumulated parameter gradient.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] on operand rank/dimension
-/// mismatch or if `out` is not `[m, n]`.
-pub fn matmul_nt_acc_into(
-    a: &Tensor,
-    b: &Tensor,
-    beta: f32,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    let (m, k, n) = check_matmul_nt("matmul_nt_acc_into", a, b)?;
-    check_out("matmul_nt_acc_into", out, m, n)?;
-    gemm_into(
-        a.data(),
-        AMajor::Row,
-        b.data(),
-        BMajor::Col,
-        m,
-        k,
-        n,
-        beta,
-        out.data_mut(),
-    );
-    Ok(())
-}
-
-/// Validates `A: [m, k]`, `B: [k, n]`, returning `(m, k, n)` with `op`
-/// attached to any error.
+/// Validates the operands of a `transpose` product, returning `(m, k, n)`
+/// with `op` attached to any error.
 fn check_matmul(
     op: &'static str,
     a: &Tensor,
     b: &Tensor,
+    transpose: Transpose,
 ) -> Result<(usize, usize, usize), TensorError> {
-    let (m, k) = expect_rank2(op, a)?;
-    let (k2, n) = expect_rank2(op, b)?;
+    let (a_rows, a_cols) = expect_rank2(op, a)?;
+    let (b_rows, b_cols) = expect_rank2(op, b)?;
+    let ((m, k), (k2, n)) = match transpose {
+        Transpose::Neither => ((a_rows, a_cols), (b_rows, b_cols)),
+        Transpose::A => ((a_cols, a_rows), (b_rows, b_cols)),
+        Transpose::B => ((a_rows, a_cols), (b_cols, b_rows)),
+    };
     if k != k2 {
         return Err(TensorError::ShapeMismatch {
             op,
-            expected: vec![m, k],
-            got: vec![k2, n],
-        });
-    }
-    Ok((m, k, n))
-}
-
-/// Validates `A: [k, m]`, `B: [k, n]` for the `AᵀB` product.
-fn check_matmul_tn(
-    op: &'static str,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(usize, usize, usize), TensorError> {
-    let (k, m) = expect_rank2(op, a)?;
-    let (k2, n) = expect_rank2(op, b)?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            expected: vec![k, m],
-            got: vec![k2, n],
-        });
-    }
-    Ok((m, k, n))
-}
-
-/// Validates `A: [m, k]`, `B: [n, k]` for the `ABᵀ` product.
-fn check_matmul_nt(
-    op: &'static str,
-    a: &Tensor,
-    b: &Tensor,
-) -> Result<(usize, usize, usize), TensorError> {
-    let (m, k) = expect_rank2(op, a)?;
-    let (n, k2) = expect_rank2(op, b)?;
-    if k != k2 {
-        return Err(TensorError::ShapeMismatch {
-            op,
-            expected: vec![m, k],
-            got: vec![n, k2],
+            expected: a.shape().to_vec(),
+            got: b.shape().to_vec(),
         });
     }
     Ok((m, k, n))
@@ -697,25 +444,6 @@ pub fn add_row(matrix: &mut Tensor, row: &Tensor) -> Result<(), TensorError> {
         }
     }
     Ok(())
-}
-
-/// Sums an `[m, n]` matrix over rows, producing the length-`n` column sums
-/// (the gradient of a broadcast bias).
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `matrix` is not rank-2, and
-/// [`TensorError::InvalidArgument`] if it has no columns.
-pub fn sum_rows(matrix: &Tensor) -> Result<Tensor, TensorError> {
-    let (_, n) = expect_rows("sum_rows", matrix)?;
-    let mut out = Tensor::zeros(&[n]);
-    let od = out.data_mut();
-    for row in matrix.data().chunks(n) {
-        for (o, &v) in od.iter_mut().zip(row) {
-            *o += v;
-        }
-    }
-    Ok(out)
 }
 
 /// Row-wise softmax of an `[m, n]` logits matrix, numerically stabilised by
@@ -794,23 +522,10 @@ pub fn argmax_rows_into(matrix: &Tensor, out: &mut Vec<usize>) -> Result<(), Ten
     Ok(())
 }
 
-/// Shannon entropy (nats) of each row of a probability matrix.
+/// Shannon entropy (nats) of each row of a probability matrix, written into
+/// a caller-provided vector, reusing its allocation (the STRIP hot loop).
 ///
-/// Rows are assumed non-negative; zero entries contribute zero. Used by the
-/// STRIP defense.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `probs` is not rank-2, and
-/// [`TensorError::InvalidArgument`] if it has no columns.
-pub fn entropy_rows(probs: &Tensor) -> Result<Vec<f32>, TensorError> {
-    let mut out = Vec::new();
-    entropy_rows_into(probs, &mut out)?;
-    Ok(out)
-}
-
-/// [`entropy_rows`] writing into a caller-provided vector, reusing its
-/// allocation (the STRIP hot loop). Bit-identical to [`entropy_rows`].
+/// Rows are assumed non-negative; zero entries contribute zero.
 ///
 /// # Errors
 ///
@@ -836,6 +551,14 @@ mod tests {
         Tensor::from_vec(shape.to_vec(), data.to_vec()).unwrap()
     }
 
+    /// `op(A)·op(B)` in a new tensor: [`matmul_into`] with `beta = 0`.
+    fn product(a: &Tensor, b: &Tensor, transpose: Transpose) -> Tensor {
+        let (m, _, n) = check_matmul("product", a, b, transpose).unwrap();
+        let mut out = Tensor::zeros(&[m, n]);
+        matmul_into(a, b, transpose, 0.0, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn matmul_matches_hand_computation() {
         let a = t(&[2, 3], &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
@@ -859,12 +582,12 @@ mod tests {
         let a = t(&[3, 2], &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = t(&[3, 4], &(0..12).map(|i| i as f32).collect::<Vec<_>>());
         let expected = matmul(&transpose(&a).unwrap(), &b).unwrap();
-        assert_eq!(matmul_tn(&a, &b).unwrap(), expected);
+        assert_eq!(product(&a, &b, Transpose::A), expected);
 
         let c = t(&[2, 3], &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let d = t(&[4, 3], &(0..12).map(|i| i as f32).collect::<Vec<_>>());
         let expected = matmul(&c, &transpose(&d).unwrap()).unwrap();
-        assert_eq!(matmul_nt(&c, &d).unwrap(), expected);
+        assert_eq!(product(&c, &d, Transpose::B), expected);
     }
 
     /// Naive triple-loop reference for `A·B` with explicit index maps, used
@@ -927,7 +650,7 @@ mod tests {
         for &(m, k, n) in AWKWARD_SHAPES {
             let a = Tensor::from_fn(&[k, m], |i| ((i * 29 % 13) as f32) - 6.0);
             let b = Tensor::from_fn(&[k, n], |i| ((i * 41 % 9) as f32) - 4.0);
-            let fast = matmul_tn(&a, &b).unwrap();
+            let fast = product(&a, &b, Transpose::A);
             let slow = naive_matmul(&a, &b, m, k, n, |i, p| p * m + i, |p, j| p * n + j);
             assert_close(&fast, &slow, 1e-4 * k as f32);
         }
@@ -938,7 +661,7 @@ mod tests {
         for &(m, k, n) in AWKWARD_SHAPES {
             let a = Tensor::from_fn(&[m, k], |i| ((i * 23 % 17) as f32) - 8.0);
             let b = Tensor::from_fn(&[n, k], |i| ((i * 31 % 19) as f32) - 9.0);
-            let fast = matmul_nt(&a, &b).unwrap();
+            let fast = product(&a, &b, Transpose::B);
             let slow = naive_matmul(&a, &b, m, k, n, |i, p| i * k + p, |p, j| j * k + p);
             assert_close(&fast, &slow, 1e-4 * k as f32);
         }
@@ -962,19 +685,19 @@ mod tests {
                 let a = Tensor::from_fn(&[m, k], |i| ((i * 37 % 11) as f32) - 5.0);
                 let b = Tensor::from_fn(&[k, n], |i| ((i * 53 % 7) as f32) - 3.0);
                 let mut out = c0.clone();
-                matmul_acc_into(&a, &b, beta, &mut out).unwrap();
+                matmul_into(&a, &b, Transpose::Neither, beta, &mut out).unwrap();
                 let naive = naive_matmul(&a, &b, m, k, n, |i, p| i * k + p, |p, j| p * n + j);
                 assert_close(&out, &with_beta(naive), 1e-4 * k as f32);
 
                 let at = Tensor::from_fn(&[k, m], |i| ((i * 29 % 13) as f32) - 6.0);
                 let mut out = c0.clone();
-                matmul_tn_acc_into(&at, &b, beta, &mut out).unwrap();
+                matmul_into(&at, &b, Transpose::A, beta, &mut out).unwrap();
                 let naive = naive_matmul(&at, &b, m, k, n, |i, p| p * m + i, |p, j| p * n + j);
                 assert_close(&out, &with_beta(naive), 1e-4 * k as f32);
 
                 let bt = Tensor::from_fn(&[n, k], |i| ((i * 31 % 19) as f32) - 9.0);
                 let mut out = c0.clone();
-                matmul_nt_acc_into(&a, &bt, beta, &mut out).unwrap();
+                matmul_into(&a, &bt, Transpose::B, beta, &mut out).unwrap();
                 let naive = naive_matmul(&a, &bt, m, k, n, |i, p| i * k + p, |p, j| j * k + p);
                 assert_close(&out, &with_beta(naive), 1e-4 * k as f32);
             }
@@ -1034,21 +757,21 @@ mod tests {
             for beta in [0.0f32, 1.0, 0.5] {
                 let case = format!("{m}x{k}x{n} beta {beta}");
                 let mut out = c0.clone();
-                matmul_acc_into(&a, &b, beta, &mut out).unwrap();
+                matmul_into(&a, &b, Transpose::Neither, beta, &mut out).unwrap();
                 let want = blocked_reference(&a, &b, &c0, beta, dims, row_a, row_b);
                 assert_eq!(bits(&out), bits(&want), "NN {case}");
 
                 let mut out = c0.clone();
-                matmul_tn_acc_into(&at, &b, beta, &mut out).unwrap();
+                matmul_into(&at, &b, Transpose::A, beta, &mut out).unwrap();
                 let want = blocked_reference(&at, &b, &c0, beta, dims, col_a, row_b);
                 assert_eq!(bits(&out), bits(&want), "TN {case}");
 
                 let mut out = c0.clone();
-                matmul_nt_acc_into(&a, &bt, beta, &mut out).unwrap();
+                matmul_into(&a, &bt, Transpose::B, beta, &mut out).unwrap();
                 let want = blocked_reference(&a, &bt, &c0, beta, dims, row_a, col_b);
                 assert_eq!(bits(&out), bits(&want), "NT {case}");
             }
-            // The overwriting entry points are the beta = 0 epilogue.
+            // Overwriting a fresh zeroed tensor is the beta = 0 epilogue.
             let zero = Tensor::zeros(&[m, n]);
             let want = blocked_reference(&a, &b, &zero, 0.0, dims, row_a, row_b);
             assert_eq!(
@@ -1058,13 +781,13 @@ mod tests {
             );
             let want = blocked_reference(&at, &b, &zero, 0.0, dims, col_a, row_b);
             assert_eq!(
-                bits(&matmul_tn(&at, &b).unwrap()),
+                bits(&product(&at, &b, Transpose::A)),
                 bits(&want),
                 "TN {m}x{k}x{n}"
             );
             let want = blocked_reference(&a, &bt, &zero, 0.0, dims, row_a, col_b);
             assert_eq!(
-                bits(&matmul_nt(&a, &bt).unwrap()),
+                bits(&product(&a, &bt, Transpose::B)),
                 bits(&want),
                 "NT {m}x{k}x{n}"
             );
@@ -1076,7 +799,7 @@ mod tests {
         let a = Tensor::from_fn(&[5, 7], |i| i as f32 * 0.25);
         let b = Tensor::from_fn(&[7, 3], |i| 1.0 - i as f32 * 0.125);
         let mut out = Tensor::full(&[5, 3], f32::NAN);
-        matmul_acc_into(&a, &b, 0.0, &mut out).unwrap();
+        matmul_into(&a, &b, Transpose::Neither, 0.0, &mut out).unwrap();
         assert_eq!(
             out,
             matmul(&a, &b).unwrap(),
@@ -1097,11 +820,11 @@ mod tests {
         let grad0 = Tensor::from_fn(&[6, 9], |i| ((i * 3 % 5) as f32 - 2.0) * 0.5);
 
         let mut fused = grad0.clone();
-        matmul_nt_acc_into(&gy, &cols, 1.0, &mut fused).unwrap();
+        matmul_into(&gy, &cols, Transpose::B, 1.0, &mut fused).unwrap();
 
         let mut split = grad0.clone();
         let mut product = Tensor::zeros(&[6, 9]);
-        matmul_nt_into(&gy, &cols, &mut product).unwrap();
+        matmul_into(&gy, &cols, Transpose::B, 0.0, &mut product).unwrap();
         split.axpy(1.0, &product).unwrap();
 
         assert_eq!(fused, split);
@@ -1114,29 +837,28 @@ mod tests {
         let a = Tensor::zeros(&[2, 0]);
         let b = Tensor::zeros(&[0, 3]);
         let mut out = Tensor::full(&[2, 3], 4.0);
-        matmul_acc_into(&a, &b, 0.5, &mut out).unwrap();
+        matmul_into(&a, &b, Transpose::Neither, 0.5, &mut out).unwrap();
         assert_eq!(out.data(), &[2.0; 6]);
     }
 
     #[test]
     fn acc_errors_name_the_operation() {
+        // NN: valid operands into a bad output. TN / NT: operands whose
+        // inner dimensions disagree, into the output their outer dimensions
+        // would produce, so only the operand check can reject them.
         let a = Tensor::zeros(&[2, 3]);
-        let mut out = Tensor::zeros(&[2, 5]);
-        for (name, err) in [
-            (
-                "matmul_acc_into",
-                matmul_acc_into(&a, &Tensor::zeros(&[3, 4]), 1.0, &mut out).unwrap_err(),
-            ),
-            (
-                "matmul_tn_acc_into",
-                matmul_tn_acc_into(&a, &Tensor::zeros(&[4, 2]), 1.0, &mut out).unwrap_err(),
-            ),
-            (
-                "matmul_nt_acc_into",
-                matmul_nt_acc_into(&a, &Tensor::zeros(&[4, 4]), 1.0, &mut out).unwrap_err(),
-            ),
+        for (transpose, b, out, expected, got) in [
+            (Transpose::Neither, [3, 4], [2, 5], [2, 4], [2, 5]),
+            (Transpose::A, [4, 2], [3, 2], [2, 3], [4, 2]),
+            (Transpose::B, [4, 4], [2, 4], [2, 3], [4, 4]),
         ] {
-            assert!(err.to_string().contains(name), "{name}: {err}");
+            let (b, mut out) = (Tensor::zeros(&b), Tensor::zeros(&out));
+            let err = matmul_into(&a, &b, transpose, 1.0, &mut out).unwrap_err();
+            assert!(
+                err.to_string().contains("matmul_into"),
+                "{transpose:?}: {err}"
+            );
+            assert_shape_mismatch(&err, &expected, &got);
         }
     }
 
@@ -1146,47 +868,77 @@ mod tests {
         let b = Tensor::from_fn(&[31, 23], |i| ((i * 11 % 3) as f32) - 1.0);
         let mut out = Tensor::full(&[17, 23], f32::NAN);
         // Stale contents must be fully overwritten.
-        matmul_into(&a, &b, &mut out).unwrap();
+        matmul_into(&a, &b, Transpose::Neither, 0.0, &mut out).unwrap();
         assert_eq!(out, matmul(&a, &b).unwrap());
         // Second call over the same buffer gives bit-identical results.
         let first = out.clone();
-        matmul_into(&a, &b, &mut out).unwrap();
+        matmul_into(&a, &b, Transpose::Neither, 0.0, &mut out).unwrap();
         assert_eq!(out, first);
 
+        // The transposed flavours of the same product overwrite it alike.
         let at = transpose(&a).unwrap();
-        matmul_tn_into(&at, &b, &mut out).unwrap();
-        assert_eq!(out, matmul_tn(&at, &b).unwrap());
+        out.data_mut().fill(f32::NAN);
+        matmul_into(&at, &b, Transpose::A, 0.0, &mut out).unwrap();
+        assert_eq!(out, first);
         let bt = transpose(&b).unwrap();
-        matmul_nt_into(&a, &bt, &mut out).unwrap();
-        assert_eq!(out, matmul_nt(&a, &bt).unwrap());
+        out.data_mut().fill(f32::NAN);
+        matmul_into(&a, &bt, Transpose::B, 0.0, &mut out).unwrap();
+        assert_eq!(out, first);
     }
 
     #[test]
     fn matmul_into_reports_op_on_bad_output_shape() {
-        let a = Tensor::zeros(&[2, 3]);
-        let b = Tensor::zeros(&[3, 4]);
         let mut out = Tensor::zeros(&[2, 5]);
-        let err = matmul_into(&a, &b, &mut out).unwrap_err();
-        assert!(err.to_string().contains("matmul_into"), "{err}");
+        for (transpose, a, b) in [
+            (Transpose::Neither, [2, 3], [3, 4]),
+            (Transpose::A, [3, 2], [3, 4]),
+            (Transpose::B, [2, 3], [4, 3]),
+        ] {
+            let (a, b) = (Tensor::zeros(&a), Tensor::zeros(&b));
+            let err = matmul_into(&a, &b, transpose, 0.0, &mut out).unwrap_err();
+            assert!(
+                err.to_string().contains("matmul_into"),
+                "{transpose:?}: {err}"
+            );
+            assert_shape_mismatch(&err, &[2, 4], &[2, 5]);
+        }
     }
 
     #[test]
     fn matmul_errors_name_the_operation() {
+        // Each transposed case gets the output its outer dimensions would
+        // produce (`[3, 2]` for TN, `[2, 4]` for NT), so only the operand
+        // check can reject the inner-dimension mismatch.
         let a = Tensor::zeros(&[2, 3]);
         let bad = Tensor::zeros(&[2, 3]);
-        for (name, err) in [
-            ("matmul", matmul(&a, &bad).unwrap_err()),
+        let (tn_bad, nt_bad) = (Tensor::zeros(&[4, 2]), Tensor::zeros(&[4, 4]));
+        let (mut tn_out, mut nt_out) = (Tensor::zeros(&[3, 2]), Tensor::zeros(&[2, 4]));
+        for (name, err, got) in [
+            ("matmul", matmul(&a, &bad).unwrap_err(), [2, 3]),
             (
-                "matmul_tn",
-                matmul_tn(&a, &Tensor::zeros(&[4, 2])).unwrap_err(),
+                "matmul_into",
+                matmul_into(&a, &tn_bad, Transpose::A, 0.0, &mut tn_out).unwrap_err(),
+                [4, 2],
             ),
             (
-                "matmul_nt",
-                matmul_nt(&a, &Tensor::zeros(&[4, 4])).unwrap_err(),
+                "matmul_into",
+                matmul_into(&a, &nt_bad, Transpose::B, 0.0, &mut nt_out).unwrap_err(),
+                [4, 4],
             ),
         ] {
             assert!(err.to_string().contains(name), "{name}: {err}");
+            assert_shape_mismatch(&err, &[2, 3], &got);
         }
+    }
+
+    /// Asserts that `err` is a [`TensorError::ShapeMismatch`] reporting
+    /// `expected` and `got`.
+    fn assert_shape_mismatch(err: &TensorError, expected: &[usize], got: &[usize]) {
+        assert!(
+            matches!(err, TensorError::ShapeMismatch { expected: e, got: g, .. }
+                if e == expected && g == got),
+            "want expected {expected:?}, got {got:?}: {err}"
+        );
     }
 
     #[test]
@@ -1195,7 +947,8 @@ mod tests {
         let bias = t(&[2], &[1.0, -1.0]);
         add_row(&mut m, &bias).unwrap();
         assert_eq!(m.data(), &[1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
-        let sums = sum_rows(&m).unwrap();
+        // Its adjoint sums the rows: a ones row times the matrix.
+        let sums = matmul(&Tensor::ones(&[1, 3]), &m).unwrap();
         assert_eq!(sums.data(), &[3.0, -3.0]);
     }
 
@@ -1205,10 +958,9 @@ mod tests {
             let mut m = Tensor::zeros(&shape);
             let errs = [
                 add_row(&mut m, &Tensor::zeros(&[0])).unwrap_err(),
-                sum_rows(&m).unwrap_err(),
                 softmax_rows(&m).unwrap_err(),
                 argmax_rows(&m).unwrap_err(),
-                entropy_rows(&m).unwrap_err(),
+                entropy_rows_into(&m, &mut Vec::new()).unwrap_err(),
             ];
             for err in errs {
                 assert!(
@@ -1236,7 +988,8 @@ mod tests {
     fn argmax_and_entropy_rows() {
         let probs = t(&[2, 2], &[0.9, 0.1, 0.5, 0.5]);
         assert_eq!(argmax_rows(&probs).unwrap(), vec![0, 0]);
-        let h = entropy_rows(&probs).unwrap();
+        let mut h = Vec::new();
+        entropy_rows_into(&probs, &mut h).unwrap();
         assert!(h[0] < h[1], "peaked row must have lower entropy");
         assert!((h[1] - (2.0f32).ln().abs()).abs() < 1e-6);
     }
@@ -1244,7 +997,8 @@ mod tests {
     #[test]
     fn entropy_ignores_zero_probabilities() {
         let probs = t(&[1, 3], &[1.0, 0.0, 0.0]);
-        let h = entropy_rows(&probs).unwrap();
-        assert_eq!(h[0], 0.0);
+        let mut h = Vec::new();
+        entropy_rows_into(&probs, &mut h).unwrap();
+        assert_eq!(h, [0.0]);
     }
 }

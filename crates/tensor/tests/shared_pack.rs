@@ -9,7 +9,8 @@
 //! accumulates from its own A row in one fixed order, so stacking rows (the
 //! samples of a batch) must never change a row's bits.
 
-use reveil_tensor::{ops, parallel, Tensor};
+use reveil_tensor::ops::{self, Transpose};
+use reveil_tensor::{parallel, Tensor};
 
 /// Pins the worker count to 4 for this process. Safe to call from every
 /// test (the first call wins; all callers pass the same value). The
@@ -80,9 +81,13 @@ fn transpose_flavours_agree_under_shared_pack() {
     let b = b_matrix();
     let expected = ops::matmul(&a, &b).unwrap();
     let at = ops::transpose(&a).unwrap();
-    assert_eq!(ops::matmul_tn(&at, &b).unwrap(), expected);
+    let mut out = Tensor::full(&[M, N], f32::NAN);
+    ops::matmul_into(&at, &b, Transpose::A, 0.0, &mut out).unwrap();
+    assert_eq!(out, expected);
     let bt = ops::transpose(&b).unwrap();
-    assert_eq!(ops::matmul_nt(&a, &bt).unwrap(), expected);
+    let mut out = Tensor::full(&[M, N], f32::NAN);
+    ops::matmul_into(&a, &bt, Transpose::B, 0.0, &mut out).unwrap();
+    assert_eq!(out, expected);
 }
 
 #[test]
@@ -95,16 +100,16 @@ fn accumulate_epilogue_is_exact_on_the_parallel_path() {
     // beta = 1 twice over a zeroed buffer: every element is v + v, which is
     // exact in floating point, so the result must be bitwise 2·product.
     let mut out = Tensor::zeros(&[M, N]);
-    ops::matmul_acc_into(&a, &b, 1.0, &mut out).unwrap();
+    ops::matmul_into(&a, &b, Transpose::Neither, 1.0, &mut out).unwrap();
     assert_eq!(out, product);
-    ops::matmul_acc_into(&a, &b, 1.0, &mut out).unwrap();
+    ops::matmul_into(&a, &b, Transpose::Neither, 1.0, &mut out).unwrap();
     for (twice, once) in out.data().iter().zip(product.data()) {
         assert_eq!(*twice, 2.0 * once);
     }
 
     // beta = 0 must fully overwrite stale NaN in every row block.
     let mut stale = Tensor::full(&[M, N], f32::NAN);
-    ops::matmul_acc_into(&a, &b, 0.0, &mut stale).unwrap();
+    ops::matmul_into(&a, &b, Transpose::Neither, 0.0, &mut stale).unwrap();
     assert_eq!(stale, product);
 }
 

@@ -230,9 +230,9 @@ impl SisaEnsemble {
 ///
 /// This loop re-accumulates every surviving slice's gradients on each
 /// unlearning request, so it leans directly on the fused GEMM accumulate
-/// epilogue (`matmul_*_acc_into`) that the conv and linear backward passes
-/// use: per-slice weight gradients fold into the parameter gradient in one
-/// sweep instead of matmul-then-`axpy`.
+/// epilogue (`ops::matmul_into` with `beta = 1`) that the conv and linear
+/// backward passes use: per-slice weight gradients fold into the parameter
+/// gradient in one sweep instead of matmul-then-`axpy`.
 fn retrain_shard_from(
     config: &SisaConfig,
     train_config: &TrainConfig,
